@@ -35,7 +35,7 @@ for name, overrides in (("regression only", dict(method="dcnn",
                       mlp_widths=[32, 16], seed=0, **overrides)
     res = training.train(ds, split, cfg)
     res.model.load_state_dict(res.best_state)
-    m = training.evaluate(res.model, ds, split, cfg, which="target")
+    m = training.evaluate_arrays(res.model, res.domains[2])  # the target
     results[name] = m
     print(f"\n{name}: best epoch {res.best_epoch}, "
           f"target RMSE {m.rmse:.3f} m, "

@@ -1,9 +1,10 @@
-"""Command-line entry point: gen / features / train / eval / gradcheck /
-ablate / describe / report.
+"""Command-line entry point: gen / train / eval / gradcheck / ablate /
+describe / report.
 
 All configs are JSON; flags override config fields and the effective
 merged config is echoed into each output directory.  Exit codes: 0 on
-success, 2 on usage errors, 3 when a non-finite value aborts a run.
+success, 2 on usage errors (including a malformed --split-json), 3 when
+a non-finite value aborts a run.
 """
 
 from __future__ import annotations
@@ -15,13 +16,17 @@ import sys
 
 import numpy as np
 
-from . import dataio, features, losses, training
-from .engine import NonFinite, Tensor, grad_check
+from . import dataio, losses, training
+from .engine import NonFinite, grad_check
 from .models import ArchConfig, Model
 from .scenario import Scenario, desk_scenario, generate_dataset
 from .training import SplitPlan, TrainConfig
 
 EXIT_OK, EXIT_USAGE, EXIT_NONFINITE = 0, 2, 3
+
+
+class UsageError(Exception):
+    """A flag value that parsed but is not usable; exits EXIT_USAGE."""
 
 
 def _echo_config(out_dir, cfg_dict):
@@ -57,28 +62,20 @@ def cmd_gen(args):
     return EXIT_OK
 
 
-def cmd_features(args):
-    ds = dataio.load_dataset(args.input)
-    scenario = dataio.scenario_from_manifest(ds.manifest)
-    with dataio.DirectoryLock(args.out):
-        fps = features.fingerprint_pipeline(ds.cfr, args.kind, args.norm,
-                                            scenario.array)
-        manifest = {"kind": args.kind, "normalization": args.norm,
-                    "feature_shape": list(fps.shape),
-                    "source_dataset": os.path.abspath(args.input)}
-        dataio.save_fingerprints(fps, manifest, args.out)
-        _echo_config(args.out, manifest)
-    print(f"wrote fingerprints {fps.shape} to {args.out}")
-    return EXIT_OK
-
-
 def _split_from(ds, args):
+    """The inline --split-json ranges, validated against the dataset, or
+    the default split."""
     n = ds.manifest["n_scenes"]
-    if args.split_json:
-        d = _load_json(args.split_json)
-        return SplitPlan(range(*d["source"]), range(*d["val"]),
-                         range(*d["target"]))
-    return SplitPlan.default(n)
+    if not args.split_json:
+        return SplitPlan.default(n)
+    try:
+        d = json.loads(args.split_json)
+        split = SplitPlan(*(range(*d[k]) for k in ("source", "val", "target")))
+        split.validate(n)
+    except (ValueError, KeyError, TypeError) as exc:
+        msg = f"--split-json: {type(exc).__name__}: {exc}"
+        raise UsageError(msg) from None
+    return split
 
 
 def cmd_train(args):
@@ -103,7 +100,7 @@ def cmd_train(args):
                     "best_val_score": result.best_val_score}
         dataio.save_checkpoint(args.out, result.best_state, manifest)
         result.model.load_state_dict(result.best_state)
-        m = training.evaluate(result.model, ds, split, cfg, which="target")
+        m = training.evaluate_arrays(result.model, result.domains[2])
         with open(os.path.join(args.out, "metrics.json"), "w") as fh:
             json.dump(m.summary(), fh, indent=1, sort_keys=True)
             fh.write("\n")
@@ -233,6 +230,10 @@ def build_parser():
                                 description="street-canyon semantic "
                                             "localization workbench")
     sub = p.add_subparsers(dest="command", required=True)
+    split = argparse.ArgumentParser(add_help=False)
+    split.add_argument("--split-json", metavar="JSON",
+                       help='inline scene ranges, {"source": [lo, hi], '
+                            '"val": [lo, hi], "target": [lo, hi]}')
 
     g = sub.add_parser("gen", help="generate a synthetic dataset")
     g.add_argument("--scenario", help="scenario config JSON (default layout "
@@ -242,29 +243,21 @@ def build_parser():
     g.add_argument("--out", required=True)
     g.set_defaults(fn=cmd_gen)
 
-    f = sub.add_parser("features", help="extract fingerprint tensors")
-    f.add_argument("--in", dest="input", required=True)
-    f.add_argument("--kind", choices=features.FINGERPRINT_KINDS, default="adp")
-    f.add_argument("--norm", choices=features.NORM_SCHEMES, default="aw")
-    f.add_argument("--out", required=True)
-    f.set_defaults(fn=cmd_features)
-
-    t = sub.add_parser("train", help="train a localization model")
+    t = sub.add_parser("train", parents=[split],
+                       help="train a localization model")
     t.add_argument("--data", required=True)
     t.add_argument("--method", choices=training.METHODS)
     t.add_argument("--config", help="TrainConfig JSON")
-    t.add_argument("--split-json")
     t.add_argument("--seed", type=int)
     t.add_argument("--epochs", type=int)
     t.add_argument("--out", required=True)
     t.set_defaults(fn=cmd_train)
 
-    e = sub.add_parser("eval", help="evaluate a checkpoint")
+    e = sub.add_parser("eval", parents=[split], help="evaluate a checkpoint")
     e.add_argument("--ckpt", required=True)
     e.add_argument("--data", required=True)
     e.add_argument("--split", default="test",
                    choices=("test", "target", "val", "source"))
-    e.add_argument("--split-json")
     e.set_defaults(fn=cmd_eval)
 
     c = sub.add_parser("gradcheck", help="finite-difference gradient check "
@@ -273,11 +266,11 @@ def build_parser():
     c.add_argument("--seed", type=int, default=0)
     c.set_defaults(fn=cmd_gradcheck)
 
-    a = sub.add_parser("ablate", help="run the loss-term ablation grid")
+    a = sub.add_parser("ablate", parents=[split],
+                       help="run the loss-term ablation grid")
     a.add_argument("--data", required=True)
     a.add_argument("--grid", help="JSON list of {name, overrides}")
     a.add_argument("--config", help="base TrainConfig JSON")
-    a.add_argument("--split-json")
     a.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2])
     a.add_argument("--out")
     a.set_defaults(fn=cmd_ablate)
@@ -287,10 +280,10 @@ def build_parser():
     d.add_argument("--input-shape", type=int, nargs=3)
     d.set_defaults(fn=cmd_describe)
 
-    r = sub.add_parser("report", help="emit metric and CDF tables as CSV")
+    r = sub.add_parser("report", parents=[split],
+                       help="emit metric and CDF tables as CSV")
     r.add_argument("--run", required=True)
     r.add_argument("--data")
-    r.add_argument("--split-json")
     r.add_argument("--out")
     r.set_defaults(fn=cmd_report)
     return p
@@ -304,6 +297,9 @@ def main(argv=None):
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.fn(args)
+    except UsageError as exc:
+        print(f"semloc: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except NonFinite as exc:
         print(f"aborted on non-finite value: {exc}", file=sys.stderr)
         return EXIT_NONFINITE

@@ -1,10 +1,9 @@
-"""Raw binary dataset / fingerprint / checkpoint formats.
+"""Raw binary dataset / checkpoint formats.
 
 A dataset directory holds manifest.json plus cfr.bin (complex64 stored
 as interleaved little-endian float32 re/im, layout
 [sample][antenna][subcarrier]), coords.bin (float32 [sample][3], meters)
-and labels.bin (uint8 [sample]).  A fingerprint directory follows the
-same convention with features.bin.  Checkpoints are manifest.json plus
+and labels.bin (uint8 [sample]).  Checkpoints are manifest.json plus
 params.bin: raw little-endian float64, concatenated in stable
 parameter-name sort order.
 """
@@ -51,23 +50,6 @@ def load_dataset(in_dir):
         scene_ids=np.asarray(manifest["scene_of_sample"], np.int64),
         grid_ids=np.asarray(manifest["grid_of_sample"], np.int64),
         manifest=manifest)
-
-
-def save_fingerprints(features, manifest, out_dir):
-    """features: real float array [n, ...]; manifest records kind/shape/norm."""
-    os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "features.bin"), "wb") as fh:
-        fh.write(np.ascontiguousarray(features).astype("<f4").tobytes())
-    _write_json(os.path.join(out_dir, "manifest.json"), manifest)
-
-
-def load_fingerprints(in_dir):
-    with open(os.path.join(in_dir, "manifest.json")) as fh:
-        manifest = json.load(fh)
-    shape = manifest["feature_shape"]
-    feats = np.fromfile(os.path.join(in_dir, "features.bin"),
-                        dtype="<f4").reshape(shape).astype(np.float64)
-    return feats, manifest
 
 
 def save_checkpoint(out_dir, param_data, manifest):

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .engine import ShapeMismatch
+
 ADP, SCM, RCSI = "adp", "scm", "rcsi"
 FINGERPRINT_KINDS = (ADP, SCM, RCSI)
 
@@ -21,10 +23,6 @@ AW, SW, MW, NA = "aw", "sw", "mw", "na"
 NORM_SCHEMES = (AW, SW, MW, NA)
 
 _NORM_EPS = 1e-12
-
-
-class ShapeMismatch(ValueError):
-    pass
 
 
 def unitary_dft(n):

@@ -63,7 +63,10 @@ class LossReport:
     kt_global: float = 0.0
     wr: float = 0.0
     total: float = 0.0
-    weights: dict = field(default_factory=dict)
+    # the two task weights: fixed (lambda1, lambda2), or learned
+    # (sigma1^2, sigma2^2) under hda
+    w1: float = 0.0
+    w2: float = 0.0
 
 
 # ----------------------------------------------------------------------
@@ -201,6 +204,29 @@ def loss_wr(params, include_all=False):
 # combined objectives
 # ----------------------------------------------------------------------
 
+def _objective(supervised, l_cr, l_pcp, w1, w2, outputs_src, outputs_tgt,
+               params, lam3, lam4, gamma):
+    """supervised + lam3 * KT + lam4 * WR, and the report of every term.
+
+    Both objectives end here; they differ only in how they weight the two
+    supervised tasks into `supervised` and in the task weights w1, w2 they
+    report.  l_cr and l_pcp are the unweighted supervised terms, reported
+    as they are.
+    """
+    if lam3 > 0.0 and outputs_tgt is not None:
+        l_loc = local_align(outputs_src.features, outputs_tgt.features)
+        l_glob = global_align(outputs_src, outputs_tgt, gamma)
+    else:
+        l_loc = engine.constant(0.0)
+        l_glob = engine.constant(0.0)
+    l_wr = loss_wr(params)
+    total = supervised + lam3 * (l_loc + l_glob) + lam4 * l_wr
+    report = LossReport(cr=l_cr.item(), pcp=l_pcp.item(),
+                        kt_local=l_loc.item(), kt_global=l_glob.item(),
+                        wr=l_wr.item(), total=total.item(), w1=w1, w2=w2)
+    return total, report
+
+
 def mda_total(outputs_src, coords_src, labels_src, outputs_tgt, params,
               weights, kt_weight=None):
     """Weighted multi-task objective; kt_weight overrides weights.kt
@@ -208,21 +234,9 @@ def mda_total(outputs_src, coords_src, labels_src, outputs_tgt, params,
     lam3 = weights.kt if kt_weight is None else kt_weight
     l_cr = loss_cr(outputs_src.coords, coords_src)
     l_pcp = loss_pcp(outputs_src.logits, labels_src, weights.gamma)
-    if lam3 > 0.0 and outputs_tgt is not None:
-        l_loc = local_align(outputs_src.features, outputs_tgt.features)
-        l_glob = global_align(outputs_src, outputs_tgt, weights.gamma)
-    else:
-        l_loc = engine.constant(0.0)
-        l_glob = engine.constant(0.0)
-    l_wr = loss_wr(params)
-    total = (weights.cr * l_cr + weights.pcp * l_pcp
-             + lam3 * (l_loc + l_glob) + weights.wr * l_wr)
-    report = LossReport(cr=l_cr.item(), pcp=l_pcp.item(),
-                        kt_local=l_loc.item(), kt_global=l_glob.item(),
-                        wr=l_wr.item(), total=total.item(),
-                        weights={"lambda1": weights.cr, "lambda2": weights.pcp,
-                                 "lambda3": lam3, "lambda4": weights.wr})
-    return total, report
+    return _objective(weights.cr * l_cr + weights.pcp * l_pcp, l_cr, l_pcp,
+                      weights.cr, weights.pcp, outputs_src, outputs_tgt,
+                      params, lam3, weights.wr, weights.gamma)
 
 
 def hda_nll(outputs_src, coords_src, labels_src, u, gamma,
@@ -237,15 +251,19 @@ def hda_nll(outputs_src, coords_src, labels_src, u, gamma,
     to keep the fractional power real.  exact_tempered evaluates the
     tempered softmax itself instead of the compact approximation.
     """
+    return _hda_nll(loss_cr(outputs_src.coords, coords_src),
+                    outputs_src.logits, labels_src, u, gamma, exact_tempered)
+
+
+def _hda_nll(l1, logits, labels_src, u, gamma, exact_tempered):
+    """hda_nll given the coordinate loss L1 already built."""
     labels = np.asarray(labels_src, int)
     inv_s1 = engine.exp(-u.s1)   # 1 / sigma1^2
     inv_s2 = engine.exp(-u.s2)   # 1 / sigma2^2
-
-    l1 = loss_cr(outputs_src.coords, coords_src)
-    oh = engine.constant(_one_hot(labels, outputs_src.logits.shape[1]))
+    oh = engine.constant(_one_hot(labels, logits.shape[1]))
 
     if exact_tempered:
-        tempered = engine.log_softmax(outputs_src.logits * inv_s2)
+        tempered = engine.log_softmax(logits * inv_s2)
         logp_true = (tempered * oh).sum(axis=1)
         if gamma == 0.0:
             ce = -logp_true.mean()
@@ -255,7 +273,7 @@ def hda_nll(outputs_src, coords_src, labels_src, u, gamma,
                   * logp_true).mean()
         pcp_term = ce + u.s2
     else:
-        logp = engine.log_softmax(outputs_src.logits)
+        logp = engine.log_softmax(logits)
         logp_true = (logp * oh).sum(axis=1)
         if gamma == 0.0:
             pcp_term = inv_s2 * (-logp_true.mean())
@@ -271,23 +289,15 @@ def hda_nll(outputs_src, coords_src, labels_src, u, gamma,
 
 def hda_total(outputs_src, coords_src, labels_src, outputs_tgt, params, u,
               lam3, lam4, gamma, exact_tempered=False):
-    """Uncertainty-weighted objective: NLL + lam3 * KT + lam4 * WR."""
-    nll = hda_nll(outputs_src, coords_src, labels_src, u, gamma,
-                  exact_tempered=exact_tempered)
-    if lam3 > 0.0 and outputs_tgt is not None:
-        l_loc = local_align(outputs_src.features, outputs_tgt.features)
-        l_glob = global_align(outputs_src, outputs_tgt, gamma)
-    else:
-        l_loc = engine.constant(0.0)
-        l_glob = engine.constant(0.0)
-    l_wr = loss_wr(params)
-    total = nll + lam3 * (l_loc + l_glob) + lam4 * l_wr
+    """Uncertainty-weighted objective: NLL + lam3 * KT + lam4 * WR.
+
+    The reported L_PCP is the plain focal loss, which the NLL does not use
+    as such; it is built for the report only.
+    """
+    l_cr = loss_cr(outputs_src.coords, coords_src)
+    nll = _hda_nll(l_cr, outputs_src.logits, labels_src, u, gamma,
+                   exact_tempered)
+    l_pcp = loss_pcp(outputs_src.logits, labels_src, gamma)
     s1sq, s2sq = u.sigma_sq()
-    report = LossReport(
-        cr=loss_cr(outputs_src.coords, coords_src).item(),
-        pcp=loss_pcp(outputs_src.logits, labels_src, gamma).item(),
-        kt_local=l_loc.item(), kt_global=l_glob.item(), wr=l_wr.item(),
-        total=total.item(),
-        weights={"sigma1_sq": s1sq, "sigma2_sq": s2sq,
-                 "lambda3": lam3, "lambda4": lam4})
-    return total, report
+    return _objective(nll, l_cr, l_pcp, s1sq, s2sq, outputs_src, outputs_tgt,
+                      params, lam3, lam4, gamma)

@@ -193,7 +193,3 @@ class Model:
                 d = width
         lines.append(f"total parameters: {self.param_count()}")
         return "\n".join(lines)
-
-
-def build(arch, seed=0):
-    return Model(arch, seed=seed)

@@ -18,9 +18,9 @@ import numpy as np
 
 from . import features as feat
 from . import losses
+from .dataio import scenario_from_manifest
 from .engine import SGD
 from .models import ArchConfig, Model
-from .scenario import Dataset
 
 METHODS = ("dcnn", "pcp-only", "mda-unweighted", "mda", "hda")
 
@@ -89,9 +89,6 @@ class TrainConfig:
             l2 = self.lambda2
         return l1, l2
 
-    def uses_kt(self):
-        return self.lambda3_max > 0.0
-
     def to_dict(self):
         return asdict(self)
 
@@ -128,9 +125,11 @@ class DomainData:
 
 
 def prepare_domains(ds, split, cfg):
-    """Fingerprint extraction + normalization, split by scene index."""
-    scenario = None
-    from .dataio import scenario_from_manifest
+    """Fingerprint extraction + normalization, split by scene index.
+
+    The one place fingerprints are computed; returns the source, val and
+    target DomainData.
+    """
     scenario = scenario_from_manifest(ds.manifest)
     fps = feat.fingerprint_pipeline(ds.cfr, cfg.fingerprint,
                                     cfg.normalization, scenario.array)
@@ -171,6 +170,7 @@ class TrainResult:
     best_val_score: float
     log_csv: str
     uncertainty: losses.UncertaintyParams | None
+    domains: tuple  # the (source, val, target) DomainData it trained on
 
 
 def _supervised_batch(domain, idx):
@@ -180,10 +180,13 @@ def _supervised_batch(domain, idx):
 
 
 def train(dataset, split, cfg):
-    """Train per the configured method; returns the best-val-RMSE checkpoint."""
-    source, val, target = prepare_domains(dataset, split, cfg)
-    if len(source.inputs) == 0 or len(val.inputs) == 0:
-        raise ValueError("empty source or validation split")
+    """Train per the configured method; returns the best-val-RMSE checkpoint
+    and the prepared domains, so callers score it without preparing them
+    again."""
+    domains = prepare_domains(dataset, split, cfg)
+    source, val, target = domains
+    if min(len(d.inputs) for d in domains) == 0:
+        raise ValueError("empty source, validation or target split")
 
     input_shape = source.inputs.shape[1:]
     arch = arch_for(cfg, input_shape)
@@ -238,12 +241,9 @@ def train(dataset, split, cfg):
             opt.zero_grad()
             total.backward()
             opt.step()
-            w = report.weights
-            w1 = w.get("lambda1", w.get("sigma1_sq"))
-            w2 = w.get("lambda2", w.get("sigma2_sq"))
             log.write(f"{step},{report.cr:.10g},{report.pcp:.10g},"
                       f"{report.kt_local:.10g},{report.kt_global:.10g},"
-                      f"{report.wr:.10g},{w1:.10g},{w2:.10g},"
+                      f"{report.wr:.10g},{report.w1:.10g},{report.w2:.10g},"
                       f"{lam3:.10g},{cfg.lambda4:.10g},{report.total:.10g}\n")
             step += 1
 
@@ -259,7 +259,8 @@ def train(dataset, split, cfg):
     # pcp-only's score is negated accuracy; everything else is val RMSE
     return TrainResult(model=model, best_state=best_state,
                        best_epoch=best_epoch, best_val_score=best_val,
-                       log_csv=log.getvalue(), uncertainty=u)
+                       log_csv=log.getvalue(), uncertainty=u,
+                       domains=domains)
 
 
 # ----------------------------------------------------------------------
@@ -317,7 +318,7 @@ def run_ablation(dataset, split, base_cfg, grid=DEFAULT_ABLATION, seeds=(0, 1, 2
                                  "seed": seed})
             result = train(dataset, split, cfg)
             result.model.load_state_dict(result.best_state)
-            m = evaluate(result.model, dataset, split, cfg, which="target")
+            m = evaluate_arrays(result.model, result.domains[2])
             rmses.append(m.rmse)
             accs.append(m.accuracy)
         rows.append({"name": name,

@@ -7,7 +7,8 @@ import struct
 import numpy as np
 import pytest
 
-from semloc import cli, dataio
+from semloc import cli, dataio, training
+from semloc.models import Model
 from semloc.scenario import desk_scenario, generate_dataset
 
 
@@ -57,17 +58,6 @@ def test_coords_and_labels_bin_layout(dataset, tmp_path):
     assert list(labels) == list(dataset.labels)
 
 
-def test_fingerprint_round_trip(tmp_path):
-    rng = np.random.default_rng(0)
-    feats = rng.random((5, 1, 4, 6))
-    manifest = {"kind": "adp", "normalization": "aw",
-                "feature_shape": [5, 1, 4, 6]}
-    dataio.save_fingerprints(feats, manifest, tmp_path / "fp")
-    back, m2 = dataio.load_fingerprints(tmp_path / "fp")
-    np.testing.assert_allclose(back, feats, rtol=1e-6)
-    assert m2["kind"] == "adp"
-
-
 def test_checkpoint_round_trip_and_sorted_order(tmp_path):
     rng = np.random.default_rng(1)
     params = {"b.w": rng.normal(size=(3, 2)), "a.w": rng.normal(size=4),
@@ -104,19 +94,18 @@ def test_cli_usage_errors_exit_2():
     assert cli.main(["gen"]) == 2  # missing --out
 
 
-def test_cli_gen_features_train_eval_report_pipeline(tmp_path, capsys):
+def test_cli_gen_train_eval_report_pipeline(tmp_path, capsys, monkeypatch):
     ds_dir = str(tmp_path / "ds")
     assert cli.main(["gen", "--scenes", "6", "--seed", "2",
                      "--out", ds_dir]) == 0
     assert (tmp_path / "ds" / "cfr.bin").exists()
     assert (tmp_path / "ds" / "effective_config.json").exists()
 
-    fp_dir = str(tmp_path / "fp")
-    assert cli.main(["features", "--in", ds_dir, "--kind", "adp",
-                     "--norm", "aw", "--out", fp_dir]) == 0
-    feats, _ = dataio.load_fingerprints(fp_dir)
-    assert feats.shape[0] > 0
-
+    # train scores its best checkpoint on the target domain it prepared
+    calls = []
+    prepare = training.prepare_domains
+    monkeypatch.setattr(training, "prepare_domains",
+                        lambda *a: calls.append(a) or prepare(*a))
     run_dir = str(tmp_path / "run")
     cfg = {"epochs": 1, "batch_size": 8, "conv_channels": [2, 4],
            "mlp_widths": [16]}
@@ -127,6 +116,7 @@ def test_cli_gen_features_train_eval_report_pipeline(tmp_path, capsys):
     assert (tmp_path / "run" / "params.bin").exists()
     assert (tmp_path / "run" / "train_log.csv").exists()
     assert (tmp_path / "run" / "metrics.json").exists()
+    assert len(calls) == 1
 
     assert cli.main(["eval", "--ckpt", run_dir, "--data", ds_dir]) == 0
     out = capsys.readouterr().out
@@ -138,6 +128,32 @@ def test_cli_gen_features_train_eval_report_pipeline(tmp_path, capsys):
     lines = report_path.read_text().strip().split("\n")
     assert lines[0] == "metric,value"
     assert any(l.startswith("cdf_error_m") for l in lines)
+
+
+def test_cli_split_json_is_inline_and_validated(dataset, tmp_path, capsys):
+    ds_dir, ckpt = str(tmp_path / "ds"), str(tmp_path / "ckpt")
+    dataio.save_dataset(dataset, ds_dir)
+    cfg = training.TrainConfig(conv_channels=[2, 4], mlp_widths=[16])
+    n, m, k = dataset.manifest["cfr_shape"]
+    model = Model(training.arch_for(cfg, (1, m, k)), seed=0)
+    dataio.save_checkpoint(ckpt, model.state_dict(), {
+        "arch": model.arch.to_dict(), "train_config": cfg.to_dict(),
+        "best_epoch": 0, "best_val_score": 0.0})
+    ev = ["eval", "--ckpt", ckpt, "--data", ds_dir, "--split-json"]
+
+    assert cli.main(ev + ['{"source": [0, 2], "val": [2, 3], '
+                          '"target": [3, 4]}']) == 0
+    assert '"rmse"' in capsys.readouterr().out
+    # not JSON, a missing key, overlapping ranges, a range past the last
+    # scene, a range that is not a list of ints
+    for bad in ('{"source": [0, 2]',
+                '{"source": [0, 2], "val": [2, 3]}',
+                '{"source": [0, 2], "val": [1, 3], "target": [3, 4]}',
+                '{"source": [0, 2], "val": [2, 3], "target": [3, 9]}',
+                '{"source": "ab", "val": [2, 3], "target": [3, 4]}'):
+        assert cli.main(ev + [bad]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("semloc: --split-json") and err.count("\n") == 1
 
 
 def test_cli_gen_is_deterministic(tmp_path):

@@ -242,6 +242,19 @@ def test_hda_total_composition():
     assert abs(total.item() - want) < 1e-12
 
 
+def test_hda_total_builds_cr_once(monkeypatch):
+    out_s, out_t, y, d, params = _toy_batch(seed=11)
+    calls = []
+    cr = losses.loss_cr
+    monkeypatch.setattr(losses, "loss_cr",
+                        lambda *a: calls.append(a) or cr(*a))
+    _, rep = losses.hda_total(out_s, y, d, out_t, params,
+                              losses.UncertaintyParams(),
+                              lam3=0.5, lam4=0.05, gamma=2.0)
+    assert len(calls) == 1
+    assert rep.cr == cr(out_s.coords, y).item()
+
+
 # ----------------------------------------------------------------------
 # gradients
 # ----------------------------------------------------------------------

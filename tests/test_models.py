@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from semloc.engine import ShapeMismatch
-from semloc.models import ArchConfig, Model, build
+from semloc.models import ArchConfig, Model
 
 ARCH = ArchConfig(conv_channels=[2, 3, 3, 4], mlp_widths_reg=[8, 6, 3],
                   mlp_widths_cls=[8, 6, 3], input_shape=(1, 16, 32))
@@ -125,7 +125,7 @@ def test_arch_round_trip_and_describe():
     d = ARCH.to_dict()
     again = ArchConfig.from_dict(d)
     assert again.to_dict() == d
-    text = build(ARCH, seed=0).describe()
+    text = Model(ARCH, seed=0).describe()
     assert "theta1.conv0" in text and "total parameters" in text
 
 

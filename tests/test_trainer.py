@@ -61,6 +61,12 @@ def test_split_validation_rejects_overlap_and_overflow():
     SplitPlan(range(0, 5), range(5, 7), range(7, 12)).validate(12)
 
 
+def test_empty_target_split_fails_before_first_step(small_dataset):
+    split = SplitPlan(range(0, 5), range(5, 7), range(7, 7))
+    with pytest.raises(ValueError, match="empty .*target"):
+        training.train(small_dataset, split, small_cfg(lambda3_max=0.0))
+
+
 # ----------------------------------------------------------------------
 # config
 # ----------------------------------------------------------------------
@@ -179,12 +185,17 @@ def test_best_state_tracks_val(small_dataset):
     assert abs(res.best_val_score - min(rmses)) < 1e-9
 
 
-def test_ablation_rows_and_csv(small_dataset):
+def test_ablation_rows_and_csv(small_dataset, monkeypatch):
+    calls = []
+    prepare = training.prepare_domains
+    monkeypatch.setattr(training, "prepare_domains",
+                        lambda *a: calls.append(a) or prepare(*a))
     split = SplitPlan.default(12)
     grid = (("cr-only", dict(method="dcnn", lambda3_max=0.0)),
             ("mda", dict(method="mda")))
     rows = training.run_ablation(small_dataset, split, small_cfg(epochs=1),
                                  grid=grid, seeds=(0,))
+    assert len(calls) == 2   # once per run: scoring reuses the train domains
     assert [r["name"] for r in rows] == ["cr-only", "mda"]
     assert rows[0]["loc_gain_pct"] == ""   # the baseline has no gain column
     assert rows[1]["loc_gain_pct"] != ""
