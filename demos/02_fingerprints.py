@@ -32,7 +32,7 @@ for kind in (F.ADP, F.SCM, F.RCSI):
     fp = F.extract(ds.cfr[0], kind, sc.array)
     print(f"  {kind:5s} fingerprint shape {fp.shape}")
 
-adp_all = F.adp_batch(ds.cfr, sc.array)
+adp_all = F.adp(ds.cfr, sc.array)  # leading axes are batch axes
 frac = np.sort(adp_all.reshape(len(adp_all), -1), axis=1)
 top8 = frac[:, -8:].sum(axis=1) / frac.sum(axis=1)
 print(f"\nreal links: top-8 of {adp_all[0].size} ADP bins hold "
@@ -41,5 +41,5 @@ print(f"\nreal links: top-8 of {adp_all[0].size} ADP bins hold "
 
 # --- normalization -------------------------------------------------------
 for scheme in (F.AW, F.SW, F.MW, F.NA):
-    z = F.normalize_batch(adp_all[:4], scheme)
+    z = F.normalize(adp_all[:4], scheme)  # each sample on its own
     print(f"  norm {scheme:2s}: value range [{z.min():.3g}, {z.max():.3g}]")

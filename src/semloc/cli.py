@@ -3,8 +3,10 @@ describe / report.
 
 All configs are JSON; flags override config fields and the effective
 merged config is echoed into each output directory.  Exit codes: 0 on
-success, 2 on usage errors (including a malformed --split-json), 3 when
-a non-finite value aborts a run.
+success, 2 on usage errors (including a malformed --split-json, a bad
+--config or --grid, or a split that leaves a domain empty), 3 when a
+non-finite value aborts a run, 4 when a dataset or checkpoint file is
+missing or its size disagrees with its manifest.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from .models import ArchConfig, Model
 from .scenario import Scenario, desk_scenario, generate_dataset
 from .training import SplitPlan, TrainConfig
 
-EXIT_OK, EXIT_USAGE, EXIT_NONFINITE = 0, 2, 3
+EXIT_OK, EXIT_USAGE, EXIT_NONFINITE, EXIT_INPUT = 0, 2, 3, 4
 
 
 class UsageError(Exception):
@@ -30,15 +32,30 @@ class UsageError(Exception):
 
 
 def _echo_config(out_dir, cfg_dict):
-    os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "effective_config.json"), "w") as fh:
-        json.dump(cfg_dict, fh, indent=1, sort_keys=True, default=str)
-        fh.write("\n")
+    dataio.write_json(os.path.join(out_dir, "effective_config.json"), cfg_dict)
 
 
-def _load_json(path):
-    with open(path) as fh:
-        return json.load(fh)
+def _load_json(path, flag):
+    """The JSON value in the file `flag` names; {} if the flag is unset."""
+    if path is None:
+        return {}
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise UsageError(f"{flag}: {exc}") from None
+
+
+def _train_config(flag, *layers):
+    """TrainConfig from override dicts merged left to right; an unknown key
+    or an invalid value is a usage error naming `flag`."""
+    merged = {}
+    try:
+        for layer in layers:
+            merged.update(layer)
+        return TrainConfig(**merged)
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"{flag}: {exc}") from None
 
 
 # ----------------------------------------------------------------------
@@ -46,10 +63,8 @@ def _load_json(path):
 # ----------------------------------------------------------------------
 
 def cmd_gen(args):
-    if args.scenario:
-        scenario = Scenario.from_json(args.scenario)
-    else:
-        scenario = desk_scenario()
+    scenario = (Scenario.from_json(args.scenario) if args.scenario
+                else desk_scenario())
     with dataio.DirectoryLock(args.out):
         ds = generate_dataset(scenario, args.scenes, args.seed)
         dataio.save_dataset(ds, args.out)
@@ -73,21 +88,15 @@ def _split_from(ds, args):
         split = SplitPlan(*(range(*d[k]) for k in ("source", "val", "target")))
         split.validate(n)
     except (ValueError, KeyError, TypeError) as exc:
-        msg = f"--split-json: {type(exc).__name__}: {exc}"
-        raise UsageError(msg) from None
+        raise UsageError(f"--split-json: {type(exc).__name__}: {exc}") from None
     return split
 
 
 def cmd_train(args):
     ds = dataio.load_dataset(args.data)
-    overrides = _load_json(args.config) if args.config else {}
-    if args.method:
-        overrides["method"] = args.method
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.epochs is not None:
-        overrides["epochs"] = args.epochs
-    cfg = TrainConfig(**overrides)
+    flags = {"method": args.method, "seed": args.seed, "epochs": args.epochs}
+    cfg = _train_config("--config", _load_json(args.config, "--config"),
+                        {k: v for k, v in flags.items() if v is not None})
     split = _split_from(ds, args)
     with dataio.DirectoryLock(args.out):
         _echo_config(args.out, cfg.to_dict())
@@ -101,30 +110,31 @@ def cmd_train(args):
         dataio.save_checkpoint(args.out, result.best_state, manifest)
         result.model.load_state_dict(result.best_state)
         m = training.evaluate_arrays(result.model, result.domains[2])
-        with open(os.path.join(args.out, "metrics.json"), "w") as fh:
-            json.dump(m.summary(), fh, indent=1, sort_keys=True)
-            fh.write("\n")
+        dataio.write_json(os.path.join(args.out, "metrics.json"), m.summary())
     print(f"best epoch {result.best_epoch}; "
           f"target RMSE {m.rmse:.4f} m, accuracy {m.accuracy:.4f}")
     return EXIT_OK
 
 
-def _load_model(run_dir):
+def _load_and_score(run_dir, args, which):
+    """The checkpoint's manifest and, when --data is given, its metrics on
+    one domain of that dataset (None without --data)."""
+    if args.split_json and not args.data:
+        raise UsageError("--split-json: needs --data")
     state, manifest = dataio.load_checkpoint(run_dir)
-    arch = ArchConfig.from_dict(manifest["arch"])
-    model = Model(arch, seed=0)
+    if not args.data:
+        return manifest, None
+    model = Model(ArchConfig.from_dict(manifest["arch"]), seed=0)
     model.load_state_dict(state)
+    ds = dataio.load_dataset(args.data)
     cfg = TrainConfig(**manifest["train_config"])
-    return model, cfg, manifest
+    return manifest, training.evaluate(model, ds, _split_from(ds, args), cfg,
+                                       which=which)
 
 
 def cmd_eval(args):
-    ds = dataio.load_dataset(args.data)
-    model, cfg, _ = _load_model(args.ckpt)
-    split = _split_from(ds, args)
-    which = {"test": "target", "target": "target", "val": "val",
-             "source": "source"}[args.split]
-    m = training.evaluate(model, ds, split, cfg, which=which)
+    which = "target" if args.split == "test" else args.split
+    _, m = _load_and_score(args.ckpt, args, which)
     print(json.dumps(m.summary(), indent=1, sort_keys=True))
     return EXIT_OK
 
@@ -174,10 +184,18 @@ def cmd_gradcheck(args):
 def cmd_ablate(args):
     ds = dataio.load_dataset(args.data)
     split = _split_from(ds, args)
-    base = TrainConfig(**(_load_json(args.config) if args.config else {}))
+    base = _train_config("--config", _load_json(args.config, "--config"))
     grid = training.DEFAULT_ABLATION
     if args.grid:
-        grid = [(row["name"], row["overrides"]) for row in _load_json(args.grid)]
+        try:
+            grid = [(row["name"], row["overrides"])
+                    for row in _load_json(args.grid, "--grid")]
+        except (KeyError, TypeError) as exc:
+            raise UsageError(f"--grid: rows need a name and overrides "
+                             f"({type(exc).__name__}: {exc})") from None
+    # every row is checked before the first one trains
+    for name, overrides in grid:
+        _train_config(f"--grid row {name!r}", base.to_dict(), overrides)
     rows = training.run_ablation(ds, split, base, grid=grid,
                                  seeds=tuple(args.seeds))
     csv = training.ablation_csv(rows)
@@ -189,8 +207,7 @@ def cmd_ablate(args):
 
 
 def cmd_describe(args):
-    overrides = _load_json(args.config) if args.config else {}
-    cfg = TrainConfig(**overrides)
+    cfg = _train_config("--config", _load_json(args.config, "--config"))
     shape = tuple(args.input_shape or (1, 64, 64))
     model = Model(training.arch_for(cfg, shape), seed=0)
     print(model.describe())
@@ -198,14 +215,11 @@ def cmd_describe(args):
 
 
 def cmd_report(args):
-    model, cfg, manifest = _load_model(args.run)
+    manifest, m = _load_and_score(args.run, args, "target")
     lines = ["metric,value",
              f"best_epoch,{manifest['best_epoch']}",
              f"best_val_score,{manifest['best_val_score']:.10g}"]
-    if args.data:
-        ds = dataio.load_dataset(args.data)
-        split = _split_from(ds, args)
-        m = training.evaluate(model, ds, split, cfg, which="target")
+    if m is not None:
         for k, v in sorted(m.summary().items()):
             lines.append(f"{k},{v:.10g}")
         lines.append("cdf_error_m,cdf_fraction")
@@ -297,9 +311,10 @@ def main(argv=None):
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.fn(args)
-    except UsageError as exc:
+    except (UsageError, training.EmptySplit, dataio.InputError) as exc:
         print(f"semloc: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return (EXIT_INPUT if isinstance(exc, dataio.InputError)
+                else EXIT_USAGE)
     except NonFinite as exc:
         print(f"aborted on non-finite value: {exc}", file=sys.stderr)
         return EXIT_NONFINITE

@@ -18,9 +18,9 @@ import numpy as np
 from .scenario import Dataset, Scenario
 
 
-def _write_json(path, obj):
+def write_json(path, obj):
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=1, sort_keys=True)
+        json.dump(obj, fh, indent=1, sort_keys=True, default=str)
         fh.write("\n")
 
 
@@ -33,20 +33,54 @@ def save_dataset(ds, out_dir):
         fh.write(ds.coords.astype("<f4").tobytes())
     with open(os.path.join(out_dir, "labels.bin"), "wb") as fh:
         fh.write(ds.labels.astype(np.uint8).tobytes())
-    _write_json(os.path.join(out_dir, "manifest.json"), ds.manifest)
+    write_json(os.path.join(out_dir, "manifest.json"), ds.manifest)
+
+
+class InputError(Exception):
+    """A dataset or checkpoint file is missing, unreadable, or its size
+    disagrees with its manifest."""
+
+
+def _read_manifest(in_dir):
+    path = os.path.join(in_dir, "manifest.json")
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise InputError(f"{path}: {exc.strerror}") from None
+    except ValueError as exc:
+        raise InputError(f"{path}: {exc}") from None
+
+
+def _read_array(in_dir, name, dtype, count):
+    """The `count` items of `dtype` stored in one file, which must hold
+    exactly that many bytes."""
+    path = os.path.join(in_dir, name)
+    want = count * np.dtype(dtype).itemsize
+    try:
+        size = os.path.getsize(path)
+    except OSError as exc:
+        raise InputError(f"{path}: {exc.strerror}") from None
+    if size != want:
+        raise InputError(f"{path}: {size} bytes, the manifest implies {want}")
+    return np.fromfile(path, dtype=dtype)
 
 
 def load_dataset(in_dir):
-    with open(os.path.join(in_dir, "manifest.json")) as fh:
-        manifest = json.load(fh)
+    manifest = _read_manifest(in_dir)
     n, m, k = manifest["cfr_shape"]
-    raw = np.fromfile(os.path.join(in_dir, "cfr.bin"), dtype="<f4")
-    cfr = raw.view("<c8").reshape(n, m, k).astype(np.complex128)
-    coords = np.fromfile(os.path.join(in_dir, "coords.bin"),
-                         dtype="<f4").reshape(n, 3).astype(np.float64)
-    labels = np.fromfile(os.path.join(in_dir, "labels.bin"), dtype=np.uint8)
+    for key in ("scene_of_sample", "grid_of_sample"):
+        if len(manifest[key]) != n:
+            raise InputError(f"{os.path.join(in_dir, 'manifest.json')}: "
+                             f"{key} has {len(manifest[key])} entries, "
+                             f"cfr_shape implies {n}")
+    cfr = _read_array(in_dir, "cfr.bin", "<f4", 2 * n * m * k)
+    cfr = cfr.view("<c8").reshape(n, m, k).astype(np.complex128)
+    coords = _read_array(in_dir, "coords.bin", "<f4", 3 * n)
+    labels = _read_array(in_dir, "labels.bin", np.uint8, n)
     return Dataset(
-        cfr=cfr, coords=coords, labels=labels,
+        cfr=cfr, coords=coords.reshape(n, 3).astype(np.float64),
+        labels=labels,
         scene_ids=np.asarray(manifest["scene_of_sample"], np.int64),
         grid_ids=np.asarray(manifest["grid_of_sample"], np.int64),
         manifest=manifest)
@@ -64,17 +98,17 @@ def save_checkpoint(out_dir, param_data, manifest):
     manifest["param_order"] = names
     manifest["param_shapes"] = {n: list(np.asarray(param_data[n]).shape)
                                 for n in names}
-    _write_json(os.path.join(out_dir, "manifest.json"), manifest)
+    write_json(os.path.join(out_dir, "manifest.json"), manifest)
 
 
 def load_checkpoint(in_dir):
-    with open(os.path.join(in_dir, "manifest.json")) as fh:
-        manifest = json.load(fh)
-    blob = np.fromfile(os.path.join(in_dir, "params.bin"), dtype="<f8")
+    manifest = _read_manifest(in_dir)
+    shapes = [tuple(manifest["param_shapes"][name])
+              for name in manifest["param_order"]]
+    sizes = [int(np.prod(shape)) for shape in shapes]
+    blob = _read_array(in_dir, "params.bin", "<f8", sum(sizes))
     params, ofs = {}, 0
-    for name in manifest["param_order"]:
-        shape = tuple(manifest["param_shapes"][name])
-        size = int(np.prod(shape)) if shape else 1
+    for name, shape, size in zip(manifest["param_order"], shapes, sizes):
         params[name] = blob[ofs:ofs + size].reshape(shape)
         ofs += size
     return params, manifest

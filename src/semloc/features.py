@@ -48,42 +48,33 @@ def _angle_transform(array):
 
 
 def adp(h, array):
-    """Angular-delay power fingerprint X = |G|^2, real [M, K]."""
+    """Angular-delay power fingerprint X = |G|^2, real [..., M, K]."""
     h = np.asarray(h)
-    m, k = h.shape
+    m, k = h.shape[-2:]
     if m != array.size:
         raise ShapeMismatch(f"CFR has {m} antennas, array has {array.size}")
-    g = _angle_transform(array) @ h @ unitary_dft(k).conj()
-    g /= np.sqrt(m * k)
-    return np.abs(g) ** 2
-
-
-def adp_batch(h_batch, array):
-    """Vectorized adp over [n, M, K]."""
-    h_batch = np.asarray(h_batch)
-    n, m, k = h_batch.shape
-    if m != array.size:
-        raise ShapeMismatch(f"CFR has {m} antennas, array has {array.size}")
-    g = np.einsum("am,nmk,kb->nab", _angle_transform(array), h_batch,
-                  unitary_dft(k).conj(), optimize=True)
+    # order="C": the contraction path leaves the batch axis strided
+    g = np.einsum("am,...mk,kb->...ab", _angle_transform(array), h,
+                  unitary_dft(k).conj(), optimize=True, order="C")
     g /= np.sqrt(m * k)
     return np.abs(g) ** 2
 
 
 def scm(h):
-    """Sample covariance over subcarriers, (1/K) H H^H, as re/im planes."""
+    """Sample covariance (1/K) H H^H as re/im planes [..., 2, M, M]."""
     h = np.asarray(h)
-    c = h @ h.conj().T / h.shape[1]
-    return np.stack([c.real, c.imag])
+    c = h @ np.swapaxes(h.conj(), -1, -2) / h.shape[-1]
+    return np.stack([c.real, c.imag], axis=-3)
 
 
 def rcsi(h):
-    """Real-valued CSI: stacked re/im planes of H, shape [2, M, K]."""
+    """Real-valued CSI: stacked re/im planes of H, shape [..., 2, M, K]."""
     h = np.asarray(h)
-    return np.stack([h.real, h.imag])
+    return np.stack([h.real, h.imag], axis=-3)
 
 
 def extract(h, kind, array=None):
+    """The `kind` fingerprint of CFRs [..., M, K] (leading axes: batch)."""
     if kind == ADP:
         return adp(h, array)
     if kind == SCM:
@@ -93,41 +84,27 @@ def extract(h, kind, array=None):
     raise ValueError(f"unknown fingerprint kind {kind!r}")
 
 
-def extract_batch(h_batch, kind, array=None):
-    if kind == ADP:
-        return adp_batch(h_batch, array)
-    return np.stack([extract(h, kind, array) for h in h_batch])
-
-
 def normalize(x, scheme):
-    """Normalize one fingerprint tensor (antenna axis is axis -2).
+    """Normalize a batch of fingerprints [n, ..., M, K], each sample on its
+    own (antenna axis is axis -2).
 
     aw: each antenna's slice scaled so its max |.| is 1
     sw: likewise per subcarrier column
-    mw: whole tensor scaled by its global max |.|
+    mw: whole sample scaled by its global max |.|
     na: identity.  Divisors are floored at 1e-12.
     """
     x = np.asarray(x, float)
     if scheme == NA:
         return x.copy()
-    mag = np.abs(x)
-    if scheme == AW:
-        reduce_axes = tuple(ax for ax in range(x.ndim) if ax != x.ndim - 2)
-    elif scheme == SW:
-        reduce_axes = tuple(ax for ax in range(x.ndim) if ax != x.ndim - 1)
-    elif scheme == MW:
-        reduce_axes = tuple(range(x.ndim))
-    else:
+    keep = {AW: x.ndim - 2, SW: x.ndim - 1, MW: 0}.get(scheme)
+    if keep is None:
         raise ValueError(f"unknown normalization scheme {scheme!r}")
-    denom = np.maximum(mag.max(axis=reduce_axes, keepdims=True), _NORM_EPS)
+    reduce_axes = tuple(ax for ax in range(1, x.ndim) if ax != keep)
+    denom = np.maximum(np.abs(x).max(axis=reduce_axes, keepdims=True),
+                       _NORM_EPS)
     return x / denom
-
-
-def normalize_batch(x_batch, scheme):
-    return np.stack([normalize(x, scheme) for x in x_batch])
 
 
 def fingerprint_pipeline(cfr_batch, kind, scheme, array=None):
     """extract + normalize for a whole CFR batch; the trainer's input path."""
-    feats = extract_batch(cfr_batch, kind, array)
-    return normalize_batch(feats, scheme)
+    return normalize(extract(cfr_batch, kind, array), scheme)

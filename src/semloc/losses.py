@@ -257,22 +257,14 @@ def hda_nll(outputs_src, coords_src, labels_src, u, gamma,
 
 def _hda_nll(l1, logits, labels_src, u, gamma, exact_tempered):
     """hda_nll given the coordinate loss L1 already built."""
-    labels = np.asarray(labels_src, int)
     inv_s1 = engine.exp(-u.s1)   # 1 / sigma1^2
     inv_s2 = engine.exp(-u.s2)   # 1 / sigma2^2
-    oh = engine.constant(_one_hot(labels, logits.shape[1]))
 
     if exact_tempered:
-        tempered = engine.log_softmax(logits * inv_s2)
-        logp_true = (tempered * oh).sum(axis=1)
-        if gamma == 0.0:
-            ce = -logp_true.mean()
-        else:
-            p_true = engine.clip(engine.exp(logp_true), _PROB_EPS, 1.0)
-            ce = (-engine.power(engine.clip(1.0 - p_true, 0.0, 1.0), gamma)
-                  * logp_true).mean()
-        pcp_term = ce + u.s2
+        pcp_term = loss_pcp(logits * inv_s2, labels_src, gamma) + u.s2
     else:
+        labels = np.asarray(labels_src, int)
+        oh = engine.constant(_one_hot(labels, logits.shape[1]))
         logp = engine.log_softmax(logits)
         logp_true = (logp * oh).sum(axis=1)
         if gamma == 0.0:

@@ -50,6 +50,10 @@ class SplitPlan:
             raise ValueError("split exceeds scene range")
 
 
+class EmptySplit(ValueError):
+    """A split domain that must hold links holds none."""
+
+
 @dataclass
 class TrainConfig:
     method: str = "mda"
@@ -77,6 +81,10 @@ class TrainConfig:
             raise ValueError("batch norm needs batch_size >= 2")
         if self.epochs < 1:
             raise ValueError("epochs >= 1")
+        if self.fingerprint not in feat.FINGERPRINT_KINDS:
+            raise ValueError(f"unknown fingerprint {self.fingerprint!r}")
+        if self.normalization not in feat.NORM_SCHEMES:
+            raise ValueError(f"unknown normalization {self.normalization!r}")
 
     def main_weights(self):
         defaults = {"dcnn": (1.0, 0.0), "pcp-only": (0.0, 1.0),
@@ -124,27 +132,25 @@ class DomainData:
     is_source: bool
 
 
-def prepare_domains(ds, split, cfg):
-    """Fingerprint extraction + normalization, split by scene index.
-
-    The one place fingerprints are computed; returns the source, val and
-    target DomainData.
-    """
-    scenario = scenario_from_manifest(ds.manifest)
-    fps = feat.fingerprint_pipeline(ds.cfr, cfg.fingerprint,
-                                    cfg.normalization, scenario.array)
+def prepare_domain(ds, scenes, cfg, is_source=False):
+    """Fingerprints, coordinates and labels of the links in `scenes`; only
+    those links' CFRs are fingerprinted."""
+    mask = np.isin(ds.scene_ids, list(scenes))
+    fps = feat.fingerprint_pipeline(ds.cfr[mask], cfg.fingerprint,
+                                    cfg.normalization,
+                                    scenario_from_manifest(ds.manifest).array)
     if fps.ndim == 3:  # single-plane fingerprints get a channel axis
         fps = fps[:, None, :, :]
+    return DomainData(inputs=fps, coords=ds.coords[mask],
+                      labels=ds.labels[mask], is_source=is_source)
+
+
+def prepare_domains(ds, split, cfg):
+    """The source, val and target DomainData of a split."""
     split.validate(ds.manifest["n_scenes"])
-
-    def pick(scene_range, is_source):
-        mask = np.isin(ds.scene_ids, list(scene_range))
-        return DomainData(inputs=fps[mask], coords=ds.coords[mask],
-                          labels=ds.labels[mask], is_source=is_source)
-
-    return (pick(split.source_scenes, True),
-            pick(split.val_scenes, False),
-            pick(split.target_scenes, False))
+    return (prepare_domain(ds, split.source_scenes, cfg, is_source=True),
+            prepare_domain(ds, split.val_scenes, cfg),
+            prepare_domain(ds, split.target_scenes, cfg))
 
 
 def arch_for(cfg, input_shape, n_classes=3):
@@ -186,11 +192,9 @@ def train(dataset, split, cfg):
     domains = prepare_domains(dataset, split, cfg)
     source, val, target = domains
     if min(len(d.inputs) for d in domains) == 0:
-        raise ValueError("empty source, validation or target split")
+        raise EmptySplit("empty source, validation or target split")
 
-    input_shape = source.inputs.shape[1:]
-    arch = arch_for(cfg, input_shape)
-    model = Model(arch, seed=cfg.seed)
+    model = Model(arch_for(cfg, source.inputs.shape[1:]), seed=cfg.seed)
     params = dict(model.params)
 
     u = None
@@ -280,15 +284,18 @@ def evaluate_arrays(model, domain, batch_size=256):
     errors = np.linalg.norm(pred - domain.coords, axis=1)
     rmse = float(np.sqrt(np.mean(errors ** 2)))
     acc = float(np.mean(cls == domain.labels))
-    sorted_err = np.sort(errors)
     quantiles = {q: float(np.quantile(errors, q)) for q in (0.5, 0.67, 0.9, 0.95)}
-    return Metrics(rmse=rmse, accuracy=acc, errors=sorted_err,
+    return Metrics(rmse=rmse, accuracy=acc, errors=np.sort(errors),
                    quantiles=quantiles)
 
 
 def evaluate(model, dataset, split, cfg, which="target"):
-    source, val, target = prepare_domains(dataset, split, cfg)
-    domain = {"source": source, "val": val, "target": target}[which]
+    """Metrics on one domain ("source", "val" or "target") of the split;
+    only that domain's links are fingerprinted."""
+    split.validate(dataset.manifest["n_scenes"])
+    domain = prepare_domain(dataset, getattr(split, f"{which}_scenes"), cfg)
+    if len(domain.inputs) == 0:
+        raise EmptySplit(f"the {which} split holds no links")
     return evaluate_arrays(model, domain)
 
 

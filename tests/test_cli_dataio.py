@@ -130,7 +130,8 @@ def test_cli_gen_train_eval_report_pipeline(tmp_path, capsys, monkeypatch):
     assert any(l.startswith("cdf_error_m") for l in lines)
 
 
-def test_cli_split_json_is_inline_and_validated(dataset, tmp_path, capsys):
+def save_untrained_run(dataset, tmp_path):
+    """A saved dataset and an untrained small checkpoint for it."""
     ds_dir, ckpt = str(tmp_path / "ds"), str(tmp_path / "ckpt")
     dataio.save_dataset(dataset, ds_dir)
     cfg = training.TrainConfig(conv_channels=[2, 4], mlp_widths=[16])
@@ -139,6 +140,16 @@ def test_cli_split_json_is_inline_and_validated(dataset, tmp_path, capsys):
     dataio.save_checkpoint(ckpt, model.state_dict(), {
         "arch": model.arch.to_dict(), "train_config": cfg.to_dict(),
         "best_epoch": 0, "best_val_score": 0.0})
+    return ds_dir, ckpt
+
+
+def assert_one_error_line(capsys, prefix="semloc: "):
+    err = capsys.readouterr().err
+    assert err.startswith(prefix) and err.count("\n") == 1, err
+
+
+def test_cli_split_json_is_inline_and_validated(dataset, tmp_path, capsys):
+    ds_dir, ckpt = save_untrained_run(dataset, tmp_path)
     ev = ["eval", "--ckpt", ckpt, "--data", ds_dir, "--split-json"]
 
     assert cli.main(ev + ['{"source": [0, 2], "val": [2, 3], '
@@ -152,8 +163,94 @@ def test_cli_split_json_is_inline_and_validated(dataset, tmp_path, capsys):
                 '{"source": [0, 2], "val": [2, 3], "target": [3, 9]}',
                 '{"source": "ab", "val": [2, 3], "target": [3, 4]}'):
         assert cli.main(ev + [bad]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("semloc: --split-json") and err.count("\n") == 1
+        assert_one_error_line(capsys, "semloc: --split-json")
+
+
+def test_cli_report_split_json_needs_data(dataset, tmp_path, capsys):
+    _, ckpt = save_untrained_run(dataset, tmp_path)
+    assert cli.main(["report", "--run", ckpt, "--split-json", "{bad"]) == 2
+    assert_one_error_line(capsys, "semloc: --split-json")
+    assert cli.main(["report", "--run", ckpt]) == 0
+    assert capsys.readouterr().out.startswith("metric,value\nbest_epoch,0\n")
+
+
+def test_cli_bad_input_files_exit_4(dataset, tmp_path, capsys):
+    # truncated or missing dataset and checkpoint files exit 4 with one
+    # stderr line, before any work is done
+    ds_dir, ckpt = save_untrained_run(dataset, tmp_path)
+    ev = ["eval", "--ckpt", ckpt, "--data", ds_dir]
+    assert cli.main(ev) == 0
+    capsys.readouterr()
+
+    def truncated(path, size):
+        data = (tmp_path / path).read_bytes()
+        (tmp_path / path).write_bytes(data[:size])
+        return data
+
+    for path, size in (("ds/cfr.bin", 1000), ("ds/coords.bin", 12),
+                       ("ds/labels.bin", 10), ("ckpt/params.bin", 64)):
+        data = truncated(path, size)
+        assert cli.main(ev) == 4, path
+        assert_one_error_line(capsys, "semloc: " + str(tmp_path / path))
+        (tmp_path / path).write_bytes(data)
+    # a manifest that is not JSON, or whose per-sample lists disagree
+    # with cfr_shape
+    manifest = (tmp_path / "ds" / "manifest.json").read_text()
+    for text in ("{", manifest.replace('"scene_of_sample": [',
+                                       '"scene_of_sample": [0, ', 1)):
+        (tmp_path / "ds" / "manifest.json").write_text(text)
+        assert cli.main(ev) == 4
+        assert_one_error_line(capsys, "semloc: " + str(tmp_path / "ds"))
+    (tmp_path / "ds" / "manifest.json").write_text(manifest)
+    (tmp_path / "ds" / "labels.bin").rename(tmp_path / "labels.bin")
+    assert cli.main(ev) == 4
+    assert_one_error_line(capsys)
+    for argv in (["eval", "--ckpt", str(tmp_path / "nope"), "--data", ds_dir],
+                 ["report", "--run", str(tmp_path / "nope")],
+                 ["train", "--data", str(tmp_path / "nope"),
+                  "--out", str(tmp_path / "run")]):
+        assert cli.main(argv) == 4
+        assert_one_error_line(capsys)
+
+
+def test_cli_bad_config_exits_2(dataset, tmp_path, capsys, monkeypatch):
+    ds_dir, _ = save_untrained_run(dataset, tmp_path)
+    trained = []
+    monkeypatch.setattr(training, "train",
+                        lambda *a: trained.append(a) or 1 / 0)
+    bad = tmp_path / "bad.json"
+    for text in ('{"epochz": 1}', '{"fingerprint": "nope"}', '[1, 2]',
+                 '{"epochs": 0}', '{bad'):
+        bad.write_text(text)
+        for argv in (["train", "--data", ds_dir, "--out",
+                      str(tmp_path / "run")],
+                     ["describe"], ["ablate", "--data", ds_dir]):
+            assert cli.main(argv + ["--config", str(bad)]) == 2, (text, argv)
+            assert_one_error_line(capsys, "semloc: --config")
+    # every grid row is checked before the first one trains
+    grid = tmp_path / "grid.json"
+    for rows in ([{"name": "ok", "overrides": {"method": "dcnn"}},
+                  {"name": "typo", "overrides": {"lamda4": 0.1}}],
+                 [{"name": "ok", "overrides": {"method": "dcnn"}},
+                  {"overrides": {}}]):
+        grid.write_text(json.dumps(rows))
+        assert cli.main(["ablate", "--data", ds_dir, "--grid",
+                         str(grid)]) == 2
+        assert_one_error_line(capsys, "semloc: --grid")
+    assert trained == []
+
+
+def test_cli_train_on_an_empty_split_exits_2(dataset, tmp_path, capsys):
+    # 4 scenes split 5:2:5 leave the validation range empty
+    ds_dir, ckpt = save_untrained_run(dataset, tmp_path)
+    assert training.SplitPlan.default(4).val_scenes == range(2, 2)
+    assert cli.main(["train", "--data", ds_dir, "--epochs", "1",
+                     "--out", str(tmp_path / "run")]) == 2
+    assert_one_error_line(capsys, "semloc: empty")
+    assert not (tmp_path / "run" / ".lock").exists()
+    assert cli.main(["eval", "--ckpt", ckpt, "--data", ds_dir,
+                     "--split", "val"]) == 2
+    assert_one_error_line(capsys)
 
 
 def test_cli_gen_is_deterministic(tmp_path):

@@ -72,9 +72,12 @@ def test_adp_batch_matches_single():
     rng = np.random.default_rng(1)
     arr = ArrayGeometry(2, 4)
     hb = np.stack([random_cfr(rng, 8, 16) for _ in range(5)])
-    got = F.adp_batch(hb, arr)
+    got = F.adp(hb, arr)
     want = np.stack([F.adp(h, arr) for h in hb])
     np.testing.assert_allclose(got, want, atol=1e-12)
+    # any number of leading batch axes
+    np.testing.assert_allclose(F.adp(hb.reshape(5, 1, 8, 16), arr)[:, 0],
+                               want, atol=1e-12)
 
 
 def test_adp_single_on_grid_path_concentrates():
@@ -142,6 +145,15 @@ def test_extract_shapes_and_dispatch():
         F.extract(h, "nope")
 
 
+@pytest.mark.parametrize("kind", F.FINGERPRINT_KINDS)
+def test_extract_on_a_batch_matches_single(kind):
+    rng = np.random.default_rng(12)
+    arr = ArrayGeometry(2, 2)
+    hb = np.stack([random_cfr(rng, 4, 8) for _ in range(3)])
+    want = np.stack([F.extract(h, kind, arr) for h in hb])
+    np.testing.assert_allclose(F.extract(hb, kind, arr), want, atol=1e-12)
+
+
 # ----------------------------------------------------------------------
 # normalization
 # ----------------------------------------------------------------------
@@ -149,52 +161,67 @@ def test_extract_shapes_and_dispatch():
 def test_normalize_aw_per_antenna_max_one():
     rng = np.random.default_rng(6)
     x = rng.random((4, 8)) + 0.1
-    out = F.normalize(x, F.AW)
+    out = F.normalize(x[None], F.AW)[0]
     np.testing.assert_allclose(np.abs(out).max(axis=1), 1.0, atol=1e-12)
 
 
 def test_normalize_sw_per_subcarrier_max_one():
     rng = np.random.default_rng(7)
     x = rng.random((4, 8)) + 0.1
-    out = F.normalize(x, F.SW)
+    out = F.normalize(x[None], F.SW)[0]
     np.testing.assert_allclose(np.abs(out).max(axis=0), 1.0, atol=1e-12)
+    np.testing.assert_allclose(out, x / x.max(axis=0), atol=1e-12)
 
 
 def test_normalize_mw_global_max_one():
     rng = np.random.default_rng(8)
     x = rng.normal(size=(2, 4, 8)) * 5.0
-    out = F.normalize(x, F.MW)
+    out = F.normalize(x[None], F.MW)
     np.testing.assert_allclose(np.abs(out).max(), 1.0, atol=1e-12)
 
 
 def test_normalize_na_is_identity():
     x = np.arange(12.0).reshape(3, 4)
-    np.testing.assert_array_equal(F.normalize(x, F.NA), x)
+    np.testing.assert_array_equal(F.normalize(x[None], F.NA)[0], x)
 
 
 def test_normalize_is_idempotent():
     rng = np.random.default_rng(9)
-    x = rng.random((4, 8))
+    x = rng.random((1, 4, 8))
     for scheme in (F.AW, F.SW, F.MW):
         once = F.normalize(x, scheme)
         np.testing.assert_allclose(F.normalize(once, scheme), once, atol=1e-12)
 
 
 def test_normalize_zero_rows_survive():
-    x = np.zeros((4, 8))
-    x[0, 0] = 2.0
+    x = np.zeros((1, 4, 8))
+    x[0, 0, 0] = 2.0
     for scheme in (F.AW, F.SW, F.MW):
         out = F.normalize(x, scheme)
         assert np.all(np.isfinite(out))
     # all-zero input maps to all zeros
-    assert np.all(F.normalize(np.zeros((4, 8)), F.AW) == 0.0)
+    assert np.all(F.normalize(np.zeros((1, 4, 8)), F.AW) == 0.0)
 
 
 def test_normalize_aw_respects_3d_antenna_axis():
     rng = np.random.default_rng(10)
     x = rng.random((2, 4, 8))  # channel, antenna, subcarrier
-    out = F.normalize(x, F.AW)
+    out = F.normalize(x[None], F.AW)[0]
     np.testing.assert_allclose(np.abs(out).max(axis=(0, 2)), 1.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("scheme", (F.AW, F.SW, F.MW))
+def test_normalize_scales_each_sample_on_its_own(scheme):
+    # two samples 1000x apart: each must get its own denominators, so the
+    # batch result equals the samples normalized one at a time
+    rng = np.random.default_rng(13)
+    x = rng.random((2, 4, 8)) + 0.1
+    x[1] *= 1000.0
+    out = F.normalize(x, scheme)
+    for i in range(2):
+        np.testing.assert_array_equal(out[i], F.normalize(x[i:i + 1],
+                                                          scheme)[0])
+        np.testing.assert_allclose(np.abs(out[i]).max(), 1.0, atol=1e-12)
 
 
 def test_pipeline_shapes():
@@ -204,3 +231,11 @@ def test_pipeline_shapes():
     assert F.fingerprint_pipeline(hb, F.ADP, F.AW, arr).shape == (3, 4, 8)
     assert F.fingerprint_pipeline(hb, F.SCM, F.MW).shape == (3, 2, 4, 4)
     assert F.fingerprint_pipeline(hb, F.RCSI, F.NA).shape == (3, 2, 4, 8)
+    # an empty batch, as from an empty domain, gives an empty array
+    for scheme in F.NORM_SCHEMES:
+        assert F.fingerprint_pipeline(hb[:0], F.ADP, scheme,
+                                      arr).shape == (0, 4, 8)
+        assert F.fingerprint_pipeline(hb[:0], F.SCM, scheme).shape == \
+            (0, 2, 4, 4)
+        assert F.fingerprint_pipeline(hb[:0], F.RCSI, scheme).shape == \
+            (0, 2, 4, 8)

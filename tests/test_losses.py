@@ -224,12 +224,15 @@ def test_hda_gamma_positive_modulates_ce():
 
 
 def test_hda_exact_tempered_matches_compact_at_unit_sigma():
-    # at sigma2 = 1 the tempered softmax is the plain softmax
+    # at sigma2 = 1 the tempered softmax is the plain softmax, with or
+    # without the focal modulation
     out_s, _, y, d, _ = _toy_batch(seed=10)
     u = losses.UncertaintyParams()
-    a = losses.hda_nll(out_s, y, d, u, gamma=0.0).item()
-    b = losses.hda_nll(out_s, y, d, u, gamma=0.0, exact_tempered=True).item()
-    assert abs(a - b) < 1e-12
+    for gamma in (0.0, 2.0):
+        a = losses.hda_nll(out_s, y, d, u, gamma=gamma).item()
+        b = losses.hda_nll(out_s, y, d, u, gamma=gamma,
+                           exact_tempered=True).item()
+        assert abs(a - b) < 1e-12
 
 
 def test_hda_total_composition():

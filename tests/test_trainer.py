@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 import semloc.training as training
+from semloc import features as F
+from semloc.dataio import scenario_from_manifest
+from semloc.models import Model
 from semloc.scenario import desk_scenario, generate_dataset
 from semloc.training import Metrics, SplitPlan, TrainConfig, lambda3_schedule
 
@@ -63,8 +66,63 @@ def test_split_validation_rejects_overlap_and_overflow():
 
 def test_empty_target_split_fails_before_first_step(small_dataset):
     split = SplitPlan(range(0, 5), range(5, 7), range(7, 7))
-    with pytest.raises(ValueError, match="empty .*target"):
+    with pytest.raises(training.EmptySplit, match="empty .*target"):
         training.train(small_dataset, split, small_cfg(lambda3_max=0.0))
+
+
+# ----------------------------------------------------------------------
+# fingerprints per domain
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("kind", F.FINGERPRINT_KINDS)
+def test_prepare_domains_match_whole_dataset_oracle(small_dataset, kind):
+    # fingerprinting each domain's links equals fingerprinting every link
+    # and then masking, byte for byte
+    ds = small_dataset
+    split = SplitPlan.default(12)
+    array = scenario_from_manifest(ds.manifest).array
+    for scheme in F.NORM_SCHEMES:
+        cfg = small_cfg(fingerprint=kind, normalization=scheme)
+        whole = F.fingerprint_pipeline(ds.cfr, kind, scheme, array)
+        if whole.ndim == 3:
+            whole = whole[:, None]
+        domains = training.prepare_domains(ds, split, cfg)
+        scenes = (split.source_scenes, split.val_scenes, split.target_scenes)
+        for domain, rng in zip(domains, scenes):
+            mask = np.isin(ds.scene_ids, list(rng))
+            assert domain.inputs.tobytes() == whole[mask].tobytes()
+            assert domain.inputs.shape == whole[mask].shape
+            np.testing.assert_array_equal(domain.labels, ds.labels[mask])
+        assert [d.is_source for d in domains] == [True, False, False]
+
+
+def test_evaluate_fingerprints_only_the_scored_domain(small_dataset,
+                                                      monkeypatch):
+    ds = small_dataset
+    split = SplitPlan.default(12)
+    cfg = small_cfg()
+    shape = (1, *ds.cfr.shape[1:])
+    model = Model(training.arch_for(cfg, shape), seed=0)
+    seen = []
+    pipeline = F.fingerprint_pipeline
+    monkeypatch.setattr(F, "fingerprint_pipeline",
+                        lambda cfr, *a: seen.append(len(cfr)) or
+                        pipeline(cfr, *a))
+    for which in ("target", "val", "source"):
+        seen.clear()
+        m = training.evaluate(model, ds, split, cfg, which=which)
+        scenes = getattr(split, f"{which}_scenes")
+        n = int(np.isin(ds.scene_ids, list(scenes)).sum())
+        assert seen == [n] and len(m.errors) == n
+
+
+def test_evaluate_on_an_empty_domain_raises(small_dataset):
+    split = SplitPlan(range(0, 5), range(5, 5), range(5, 12))
+    cfg = small_cfg()
+    model = Model(training.arch_for(cfg, (1, *small_dataset.cfr.shape[1:])),
+                  seed=0)
+    with pytest.raises(training.EmptySplit, match="val"):
+        training.evaluate(model, small_dataset, split, cfg, which="val")
 
 
 # ----------------------------------------------------------------------
@@ -78,6 +136,10 @@ def test_config_validation():
         TrainConfig(batch_size=1)
     with pytest.raises(ValueError):
         TrainConfig(epochs=0)
+    with pytest.raises(ValueError):
+        TrainConfig(fingerprint="nope")
+    with pytest.raises(ValueError):
+        TrainConfig(normalization="nope")
 
 
 def test_method_default_weights():
