@@ -4,9 +4,10 @@ describe / report.
 All configs are JSON; flags override config fields and the effective
 merged config is echoed into each output directory.  Exit codes: 0 on
 success, 2 on usage errors (including a malformed --split-json, a bad
---config or --grid, or a split that leaves a domain empty), 3 when a
-non-finite value aborts a run, 4 when a dataset or checkpoint file is
-missing or its size disagrees with its manifest.
+--config, --grid or --scenario, or a split that leaves a domain empty),
+3 when a non-finite value aborts a run, 4 when a dataset or checkpoint
+file is missing or disagrees with its manifest, or an output directory
+is locked by a live process.
 """
 
 from __future__ import annotations
@@ -63,8 +64,13 @@ def _train_config(flag, *layers):
 # ----------------------------------------------------------------------
 
 def cmd_gen(args):
-    scenario = (Scenario.from_json(args.scenario) if args.scenario
-                else desk_scenario())
+    if args.scenes < 1:
+        raise UsageError("--scenes: need at least one scene")
+    try:
+        scenario = (Scenario.from_json(args.scenario) if args.scenario
+                    else desk_scenario())
+    except (OSError, KeyError, TypeError, ValueError) as exc:
+        raise UsageError(f"--scenario: {type(exc).__name__}: {exc}") from None
     with dataio.DirectoryLock(args.out):
         ds = generate_dataset(scenario, args.scenes, args.seed)
         dataio.save_dataset(ds, args.out)
@@ -117,17 +123,27 @@ def cmd_train(args):
 
 
 def _load_and_score(run_dir, args, which):
-    """The checkpoint's manifest and, when --data is given, its metrics on
-    one domain of that dataset (None without --data)."""
+    """The manifest of the run checkpoint and, when --data is given, its
+    metrics on one domain of that dataset (None without --data).  Of the
+    run's train_config only the fingerprint and normalization are read."""
     if args.split_json and not args.data:
         raise UsageError("--split-json: needs --data")
     state, manifest = dataio.load_checkpoint(run_dir)
+    path = os.path.join(run_dir, "manifest.json")
+    dataio.require_keys(manifest, path, ("arch", "train_config",
+                                         "best_epoch", "best_val_score"))
     if not args.data:
         return manifest, None
-    model = Model(ArchConfig.from_dict(manifest["arch"]), seed=0)
-    model.load_state_dict(state)
+    try:
+        tc = manifest["train_config"]
+        cfg = TrainConfig(fingerprint=tc["fingerprint"],
+                          normalization=tc["normalization"])
+        model = Model(ArchConfig.from_dict(manifest["arch"]), seed=0)
+        model.load_state_dict(state)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise dataio.InputError(f"{path}: {type(exc).__name__}: {exc}") \
+            from None
     ds = dataio.load_dataset(args.data)
-    cfg = TrainConfig(**manifest["train_config"])
     return manifest, training.evaluate(model, ds, _split_from(ds, args), cfg,
                                        which=which)
 
@@ -147,6 +163,7 @@ def gradcheck_error(method, seed=0):
                       mlp_widths_reg=[8, 6, 3], mlp_widths_cls=[8, 6, 3],
                       input_shape=(1, 16, 16))
     model = Model(arch, seed=seed)
+    cfg = TrainConfig(method=method)
     x_s = rng.random((4, 1, 16, 16))
     y_s = rng.normal(size=(4, 3))
     d_s = rng.integers(0, 3, size=4)
@@ -162,15 +179,8 @@ def gradcheck_error(method, seed=0):
     def objective():
         out_s = model.forward(x_s, train=True)
         out_t = model.forward(x_t, train=True)
-        if method == "hda":
-            total, _ = losses.hda_total(out_s, y_s, d_s, out_t, model.params,
-                                        u, lam3=0.8, lam4=0.05, gamma=2.0)
-        else:
-            weights = losses.LossWeights(cr=0.7, pcp=0.3, kt=0.8, wr=0.05,
-                                         gamma=2.0)
-            total, _ = losses.mda_total(out_s, y_s, d_s, out_t, model.params,
-                                        weights)
-        return total
+        return training.objective(cfg, out_s, y_s, d_s, out_t, model.params,
+                                  u, lam3=0.8)[0]
 
     return grad_check(objective, params, h=1e-5)
 
@@ -209,7 +219,11 @@ def cmd_ablate(args):
 def cmd_describe(args):
     cfg = _train_config("--config", _load_json(args.config, "--config"))
     shape = tuple(args.input_shape or (1, 64, 64))
-    model = Model(training.arch_for(cfg, shape), seed=0)
+    try:
+        arch = training.arch_for(cfg, shape)
+    except ValueError as exc:
+        raise UsageError(f"--input-shape: {exc}") from None
+    model = Model(arch, seed=0)
     print(model.describe())
     return EXIT_OK
 

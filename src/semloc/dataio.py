@@ -10,6 +10,7 @@ parameter-name sort order.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 
@@ -41,15 +42,27 @@ class InputError(Exception):
     disagrees with its manifest."""
 
 
-def _read_manifest(in_dir):
+def _read_manifest(in_dir, keys):
+    """The JSON object in `in_dir`/manifest.json, which must hold `keys`."""
     path = os.path.join(in_dir, "manifest.json")
     try:
         with open(path) as fh:
-            return json.load(fh)
+            manifest = json.load(fh)
     except OSError as exc:
         raise InputError(f"{path}: {exc.strerror}") from None
     except ValueError as exc:
         raise InputError(f"{path}: {exc}") from None
+    if not isinstance(manifest, dict):
+        raise InputError(f"{path}: not a JSON object")
+    require_keys(manifest, path, keys)
+    return manifest
+
+
+def require_keys(manifest, path, keys):
+    """Raise InputError unless the manifest read from `path` holds `keys`."""
+    missing = [k for k in keys if k not in manifest]
+    if missing:
+        raise InputError(f"{path}: missing {', '.join(missing)}")
 
 
 def _read_array(in_dir, name, dtype, count):
@@ -67,7 +80,9 @@ def _read_array(in_dir, name, dtype, count):
 
 
 def load_dataset(in_dir):
-    manifest = _read_manifest(in_dir)
+    manifest = _read_manifest(in_dir, ("cfr_shape", "scene_of_sample",
+                                       "grid_of_sample", "n_scenes",
+                                       "scenario"))
     n, m, k = manifest["cfr_shape"]
     for key in ("scene_of_sample", "grid_of_sample"):
         if len(manifest[key]) != n:
@@ -102,7 +117,7 @@ def save_checkpoint(out_dir, param_data, manifest):
 
 
 def load_checkpoint(in_dir):
-    manifest = _read_manifest(in_dir)
+    manifest = _read_manifest(in_dir, ("param_order", "param_shapes"))
     shapes = [tuple(manifest["param_shapes"][name])
               for name in manifest["param_order"]]
     sizes = [int(np.prod(shape)) for shape in shapes]
@@ -114,19 +129,48 @@ def load_checkpoint(in_dir):
     return params, manifest
 
 
+def _pid_alive(pid):
+    try:
+        os.kill(pid, 0)
+    except PermissionError:  # alive, owned by another user
+        return True
+    except (ProcessLookupError, OverflowError):
+        return False
+    return True
+
+
 class DirectoryLock:
-    """Best-effort single-writer lock on an output directory."""
+    """Best-effort single-writer lock on an output directory: a `.lock`
+    file holding the writer's pid.  A lock whose pid names no process is
+    stale and is taken over."""
 
     def __init__(self, directory):
         os.makedirs(directory, exist_ok=True)
         self.path = os.path.join(directory, ".lock")
         self._fd = None
 
-    def __enter__(self):
+    def _holder(self):
+        """The pid in the lock file; None if it holds no positive int."""
         try:
-            self._fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            raise RuntimeError(f"output directory is locked: {self.path}")
+            with open(self.path) as fh:
+                pid = int(fh.read())
+        except (OSError, ValueError):
+            return None
+        return pid if pid > 0 else None
+
+    def __enter__(self):
+        for retry in (False, True):
+            try:
+                self._fd = os.open(self.path,
+                                   os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+                break
+            except FileExistsError:
+                pid = self._holder()
+                if retry or pid is None or _pid_alive(pid):
+                    raise InputError(f"{self.path}: locked by pid "
+                                     f"{pid or 'unknown'}") from None
+                with contextlib.suppress(FileNotFoundError):
+                    os.unlink(self.path)
         os.write(self._fd, str(os.getpid()).encode())
         return self
 

@@ -28,20 +28,6 @@ class DegenerateDistribution(ValueError):
 
 
 @dataclass
-class LossWeights:
-    cr: float = 0.7      # coordinate regression
-    pcp: float = 0.3     # propagation-condition prediction
-    kt: float = 1.0      # knowledge transfer (alignment)
-    wr: float = 0.05     # weight regularization
-    gamma: float = 2.0   # focal temperature
-
-    def __post_init__(self):
-        for v in (self.cr, self.pcp, self.kt, self.wr, self.gamma):
-            if not np.isfinite(v) or v < 0:
-                raise ValueError("loss weights must be finite and nonnegative")
-
-
-@dataclass
 class UncertaintyParams:
     """Learnable log-variances of the two supervised tasks (s = log sigma^2)."""
 
@@ -82,28 +68,33 @@ def loss_cr(pred_coords, true_coords):
     return engine.square(diff).sum() * (1.0 / true.shape[0])
 
 
-def _one_hot(labels, n_classes):
+def _true_class(logits, labels, gamma):
+    """log p and, when gamma > 0, the clamped p of each sample's true class
+    under softmax(logits), [B] each."""
     labels = np.asarray(labels, int)
-    oh = np.zeros((labels.size, n_classes))
+    if logits.shape[0] != labels.size:
+        raise ShapeMismatch("batch size mismatch between logits and labels")
+    oh = np.zeros((labels.size, logits.shape[1]))
     oh[np.arange(labels.size), labels] = 1.0
-    return oh
+    logp_true = (engine.log_softmax(logits) * engine.constant(oh)).sum(axis=1)
+    if gamma == 0.0:
+        return logp_true, None
+    return logp_true, engine.clip(engine.exp(logp_true), _PROB_EPS, 1.0)
+
+
+def _focal(logp_true, p_true, gamma):
+    """Batch-mean focal loss from _true_class's terms."""
+    if gamma == 0.0:
+        per_sample = -logp_true
+    else:
+        per_sample = -engine.power(engine.clip(1.0 - p_true, 0.0, 1.0),
+                                   gamma) * logp_true
+    return per_sample.mean()
 
 
 def loss_pcp(logits, labels, gamma):
     """Focal (modulated cross-entropy) loss; vanilla CE when gamma == 0."""
-    labels = np.asarray(labels, int)
-    if logits.shape[0] != labels.size:
-        raise ShapeMismatch("batch size mismatch between logits and labels")
-    oh = _one_hot(labels, logits.shape[1])
-    logp = engine.log_softmax(logits)
-    logp_true = (logp * engine.constant(oh)).sum(axis=1)       # [B]
-    if gamma == 0.0:
-        per_sample = -logp_true
-    else:
-        p_true = engine.clip(engine.exp(logp_true), _PROB_EPS, 1.0)
-        per_sample = -engine.power(engine.clip(1.0 - p_true, 0.0, 1.0),
-                                   gamma) * logp_true
-    return per_sample.mean()
+    return _focal(*_true_class(logits, labels, gamma), gamma)
 
 
 # ----------------------------------------------------------------------
@@ -185,16 +176,12 @@ def loss_kt(outputs_src, outputs_tgt, gamma):
 # regularization
 # ----------------------------------------------------------------------
 
-def loss_wr(params, include_all=False):
-    """Half the summed squared weights.
-
-    Biases and batch-norm scale/shift are excluded by default;
-    include_all restores the literal everything-regularized reading.
-    """
+def loss_wr(params):
+    """Half the summed squared weights; biases, batch-norm scale/shift and
+    the hda log-variances are not regularized."""
     total = engine.constant(0.0)
     for name, p in params.items():
-        if not include_all and (name.endswith(".b") or ".bn." in name
-                                or name.startswith("hda.")):
+        if name.endswith(".b") or ".bn." in name or name.startswith("hda."):
             continue
         total = total + engine.square(p).sum()
     return total * 0.5
@@ -228,19 +215,15 @@ def _objective(supervised, l_cr, l_pcp, w1, w2, outputs_src, outputs_tgt,
 
 
 def mda_total(outputs_src, coords_src, labels_src, outputs_tgt, params,
-              weights, kt_weight=None):
-    """Weighted multi-task objective; kt_weight overrides weights.kt
-    (the trainer passes the scheduled value)."""
-    lam3 = weights.kt if kt_weight is None else kt_weight
+              lam1, lam2, lam3, lam4, gamma):
+    """Fixed-weight objective: lam1 L_CR + lam2 L_PCP + lam3 KT + lam4 WR."""
     l_cr = loss_cr(outputs_src.coords, coords_src)
-    l_pcp = loss_pcp(outputs_src.logits, labels_src, weights.gamma)
-    return _objective(weights.cr * l_cr + weights.pcp * l_pcp, l_cr, l_pcp,
-                      weights.cr, weights.pcp, outputs_src, outputs_tgt,
-                      params, lam3, weights.wr, weights.gamma)
+    l_pcp = loss_pcp(outputs_src.logits, labels_src, gamma)
+    return _objective(lam1 * l_cr + lam2 * l_pcp, l_cr, l_pcp, lam1, lam2,
+                      outputs_src, outputs_tgt, params, lam3, lam4, gamma)
 
 
-def hda_nll(outputs_src, coords_src, labels_src, u, gamma,
-            exact_tempered=False):
+def hda_nll(outputs_src, coords_src, labels_src, u, gamma):
     """Negative log-likelihood of the joint task, batch-averaged.
 
     gamma == 0 uses the compact form
@@ -248,48 +231,37 @@ def hda_nll(outputs_src, coords_src, labels_src, u, gamma,
     with L1 the mean summed squared coordinate error and L2 the mean
     cross-entropy.  gamma > 0 modulates the CE term by
     (1 - softmax^{1/sigma2^2} / sigma2^2)^gamma, base clamped to [eps, 1]
-    to keep the fractional power real.  exact_tempered evaluates the
-    tempered softmax itself instead of the compact approximation.
+    to keep the fractional power real.
     """
     return _hda_nll(loss_cr(outputs_src.coords, coords_src),
-                    outputs_src.logits, labels_src, u, gamma, exact_tempered)
+                    *_true_class(outputs_src.logits, labels_src, gamma),
+                    u, gamma)
 
 
-def _hda_nll(l1, logits, labels_src, u, gamma, exact_tempered):
-    """hda_nll given the coordinate loss L1 already built."""
+def _hda_nll(l1, logp_true, p_true, u, gamma):
+    """hda_nll from the built coordinate loss L1 and _true_class's terms."""
     inv_s1 = engine.exp(-u.s1)   # 1 / sigma1^2
     inv_s2 = engine.exp(-u.s2)   # 1 / sigma2^2
-
-    if exact_tempered:
-        pcp_term = loss_pcp(logits * inv_s2, labels_src, gamma) + u.s2
+    if gamma == 0.0:
+        pcp_term = inv_s2 * (-logp_true.mean())
     else:
-        labels = np.asarray(labels_src, int)
-        oh = engine.constant(_one_hot(labels, logits.shape[1]))
-        logp = engine.log_softmax(logits)
-        logp_true = (logp * oh).sum(axis=1)
-        if gamma == 0.0:
-            pcp_term = inv_s2 * (-logp_true.mean())
-        else:
-            p_true = engine.clip(engine.exp(logp_true), _PROB_EPS, 1.0)
-            # p ** (1/sigma2^2) with the exponent kept in the graph
-            p_pow = engine.exp(inv_s2 * engine.log(p_true))
-            base = engine.clip(1.0 - inv_s2 * p_pow, _PROB_EPS, 1.0)
-            pcp_term = (engine.power(base, gamma) * (-logp_true)).mean()
-
+        # p ** (1/sigma2^2) with the exponent kept in the graph
+        p_pow = engine.exp(inv_s2 * engine.log(p_true))
+        base = engine.clip(1.0 - inv_s2 * p_pow, _PROB_EPS, 1.0)
+        pcp_term = (engine.power(base, gamma) * (-logp_true)).mean()
     return (0.5 * inv_s1 * l1 + pcp_term + 0.5 * u.s1 + u.s2)
 
 
 def hda_total(outputs_src, coords_src, labels_src, outputs_tgt, params, u,
-              lam3, lam4, gamma, exact_tempered=False):
+              lam3, lam4, gamma):
     """Uncertainty-weighted objective: NLL + lam3 * KT + lam4 * WR.
 
     The reported L_PCP is the plain focal loss, which the NLL does not use
-    as such; it is built for the report only.
+    as such; it comes from the NLL's own true-class terms.
     """
     l_cr = loss_cr(outputs_src.coords, coords_src)
-    nll = _hda_nll(l_cr, outputs_src.logits, labels_src, u, gamma,
-                   exact_tempered)
-    l_pcp = loss_pcp(outputs_src.logits, labels_src, gamma)
+    logp_true, p_true = _true_class(outputs_src.logits, labels_src, gamma)
+    nll = _hda_nll(l_cr, logp_true, p_true, u, gamma)
     s1sq, s2sq = u.sigma_sq()
-    return _objective(nll, l_cr, l_pcp, s1sq, s2sq, outputs_src, outputs_tgt,
-                      params, lam3, lam4, gamma)
+    return _objective(nll, l_cr, _focal(logp_true, p_true, gamma), s1sq, s2sq,
+                      outputs_src, outputs_tgt, params, lam3, lam4, gamma)

@@ -72,7 +72,6 @@ class TrainConfig:
     normalization: str = feat.AW
     conv_channels: list | None = None
     mlp_widths: list | None = None
-    exact_tempered: bool = False
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -85,17 +84,20 @@ class TrainConfig:
             raise ValueError(f"unknown fingerprint {self.fingerprint!r}")
         if self.normalization not in feat.NORM_SCHEMES:
             raise ValueError(f"unknown normalization {self.normalization!r}")
+        for name in ("lambda1", "lambda2", "lambda3_max", "lambda4", "gamma"):
+            v = getattr(self, name)
+            if v is not None and not (np.isfinite(v) and v >= 0):
+                raise ValueError(f"{name} must be finite and nonnegative, "
+                                 f"not {v!r}")
 
     def main_weights(self):
-        defaults = {"dcnn": (1.0, 0.0), "pcp-only": (0.0, 1.0),
-                    "mda-unweighted": (0.5, 0.5), "mda": (0.7, 0.3),
-                    "hda": (None, None)}
-        l1, l2 = defaults[self.method]
-        if self.lambda1 is not None:
-            l1 = self.lambda1
-        if self.lambda2 is not None:
-            l2 = self.lambda2
-        return l1, l2
+        """(lambda1, lambda2), each the method's default unless set; hda's
+        defaults are None, as it learns its task weights."""
+        l1, l2 = {"dcnn": (1.0, 0.0), "pcp-only": (0.0, 1.0),
+                  "mda-unweighted": (0.5, 0.5), "mda": (0.7, 0.3),
+                  "hda": (None, None)}[self.method]
+        return (l1 if self.lambda1 is None else self.lambda1,
+                l2 if self.lambda2 is None else self.lambda2)
 
     def to_dict(self):
         return asdict(self)
@@ -185,6 +187,18 @@ def _supervised_batch(domain, idx):
     return domain.inputs[idx], domain.coords[idx], domain.labels[idx]
 
 
+def objective(cfg, out_s, y, d, out_t, params, u, lam3):
+    """The objective `cfg` trains, and its LossReport, on one source batch
+    (outputs out_s, coordinates y, labels d) and one target batch out_t;
+    u holds the hda log-variances and is unused by the other methods."""
+    if cfg.method == "hda":
+        return losses.hda_total(out_s, y, d, out_t, params, u, lam3=lam3,
+                                lam4=cfg.lambda4, gamma=cfg.gamma)
+    lam1, lam2 = cfg.main_weights()
+    return losses.mda_total(out_s, y, d, out_t, params, lam1, lam2, lam3,
+                            cfg.lambda4, cfg.gamma)
+
+
 def train(dataset, split, cfg):
     """Train per the configured method; returns the best-val-RMSE checkpoint
     and the prepared domains, so callers score it without preparing them
@@ -206,10 +220,6 @@ def train(dataset, split, cfg):
               weight_decay=cfg.optimizer_weight_decay,
               no_momentum=("hda.",))
     rng = np.random.default_rng([cfg.seed, 101])
-    lam1, lam2 = cfg.main_weights()
-    if cfg.method != "hda":
-        weights = losses.LossWeights(cr=lam1, pcp=lam2, kt=1.0,
-                                     wr=cfg.lambda4, gamma=cfg.gamma)
 
     n_src = len(source.inputs)
     steps_per_epoch = max(1, n_src // cfg.batch_size)
@@ -232,16 +242,8 @@ def train(dataset, split, cfg):
             if lam3 > 0.0:
                 out_t = model.forward(target.inputs[tgt_idx], train=True)
 
-            if cfg.method == "hda":
-                total, report = losses.hda_total(
-                    out_s, y_s, d_s, out_t, model.params, u,
-                    lam3=lam3, lam4=cfg.lambda4, gamma=cfg.gamma,
-                    exact_tempered=cfg.exact_tempered)
-            else:
-                total, report = losses.mda_total(
-                    out_s, y_s, d_s, out_t, model.params, weights,
-                    kt_weight=lam3)
-
+            total, report = objective(cfg, out_s, y_s, d_s, out_t,
+                                      model.params, u, lam3)
             opt.zero_grad()
             total.backward()
             opt.step()

@@ -76,7 +76,7 @@ def test_directory_lock_blocks_second_writer(tmp_path):
     d = tmp_path / "out"
     with dataio.DirectoryLock(d):
         assert (d / ".lock").exists()
-        with pytest.raises(RuntimeError):
+        with pytest.raises(dataio.InputError):
             with dataio.DirectoryLock(d):
                 pass
     assert not (d / ".lock").exists()
@@ -88,10 +88,32 @@ def test_directory_lock_blocks_second_writer(tmp_path):
 # CLI
 # ----------------------------------------------------------------------
 
-def test_cli_usage_errors_exit_2():
+def test_cli_usage_errors_exit_2(tmp_path, capsys):
     assert cli.main([]) == 2
     assert cli.main(["not-a-command"]) == 2
     assert cli.main(["gen"]) == 2  # missing --out
+    capsys.readouterr()
+    # values that parse but are not usable: one stderr line, and no output
+    # directory is created
+    out = tmp_path / "out"
+    scenario = json.dumps(desk_scenario().to_dict())
+    for name, text in (("bad.json", "{bad"), ("list.json", "[1, 2]"),
+                       ("nokey.json", scenario.replace('"lanes"', '"lane"'))):
+        (tmp_path / name).write_text(text)
+    for argv in (["gen", "--scenes", "0", "--out", str(out)],
+                 ["gen", "--scenario", str(tmp_path / "nope.json"),
+                  "--out", str(out)],
+                 ["gen", "--scenario", str(tmp_path / "bad.json"),
+                  "--out", str(out)],
+                 ["gen", "--scenario", str(tmp_path / "list.json"),
+                  "--out", str(out)],
+                 ["gen", "--scenario", str(tmp_path / "nokey.json"),
+                  "--out", str(out)],
+                 ["describe", "--input-shape", "1", "16", "24"],
+                 ["describe", "--input-shape", "1", "8", "16"]):
+        assert cli.main(argv) == 2, argv
+        assert_one_error_line(capsys)
+        assert not out.exists()
 
 
 def test_cli_gen_train_eval_report_pipeline(tmp_path, capsys, monkeypatch):
@@ -201,16 +223,54 @@ def test_cli_bad_input_files_exit_4(dataset, tmp_path, capsys):
         (tmp_path / "ds" / "manifest.json").write_text(text)
         assert cli.main(ev) == 4
         assert_one_error_line(capsys, "semloc: " + str(tmp_path / "ds"))
-    (tmp_path / "ds" / "manifest.json").write_text(manifest)
+    # a manifest that parses but lacks a key, or holds an unusable value
+    ck_manifest = (tmp_path / "ckpt" / "manifest.json").read_text()
+    bad_fp = json.loads(ck_manifest)
+    bad_fp["train_config"]["fingerprint"] = "nope"
+    for name, text, keys in (
+            ("ds", manifest, ("cfr_shape", "scene_of_sample",
+                              "grid_of_sample", "n_scenes", "scenario")),
+            ("ckpt", ck_manifest, ("param_order", "param_shapes", "arch",
+                                   "train_config"))):
+        for key in keys:
+            d = json.loads(text)
+            del d[key]
+            (tmp_path / name / "manifest.json").write_text(json.dumps(d))
+            assert cli.main(ev) == 4, key
+            assert_one_error_line(capsys, "semloc: " + str(tmp_path / name))
+        (tmp_path / name / "manifest.json").write_text(text)
+    (tmp_path / "ckpt" / "manifest.json").write_text(json.dumps(bad_fp))
+    assert cli.main(ev) == 4
+    assert_one_error_line(capsys, "semloc: " + str(tmp_path / "ckpt"))
+    (tmp_path / "ckpt" / "manifest.json").write_text(ck_manifest)
+    assert cli.main(ev) == 0
+    capsys.readouterr()
     (tmp_path / "ds" / "labels.bin").rename(tmp_path / "labels.bin")
     assert cli.main(ev) == 4
     assert_one_error_line(capsys)
     for argv in (["eval", "--ckpt", str(tmp_path / "nope"), "--data", ds_dir],
                  ["report", "--run", str(tmp_path / "nope")],
+                 ["report", "--run", str(tmp_path / "ds")],
                  ["train", "--data", str(tmp_path / "nope"),
                   "--out", str(tmp_path / "run")]):
         assert cli.main(argv) == 4
         assert_one_error_line(capsys)
+
+
+def test_cli_scores_checkpoints_with_stale_train_config_keys(dataset, tmp_path,
+                                                           capsys):
+    # eval reads only the fingerprint and normalization of train_config,
+    # so a checkpoint written with a since-removed option still scores
+    ds_dir, ckpt = save_untrained_run(dataset, tmp_path)
+    ev = ["eval", "--ckpt", ckpt, "--data", ds_dir]
+    assert cli.main(ev) == 0
+    want = capsys.readouterr().out
+    path = tmp_path / "ckpt" / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest["train_config"]["exact_tempered"] = False
+    path.write_text(json.dumps(manifest))
+    assert cli.main(ev) == 0
+    assert capsys.readouterr().out == want
 
 
 def test_cli_bad_config_exits_2(dataset, tmp_path, capsys, monkeypatch):
@@ -220,7 +280,8 @@ def test_cli_bad_config_exits_2(dataset, tmp_path, capsys, monkeypatch):
                         lambda *a: trained.append(a) or 1 / 0)
     bad = tmp_path / "bad.json"
     for text in ('{"epochz": 1}', '{"fingerprint": "nope"}', '[1, 2]',
-                 '{"epochs": 0}', '{bad'):
+                 '{"epochs": 0}', '{bad', '{"lambda1": -1}', '{"gamma": -1}',
+                 '{"lambda3_max": -1}', '{"lambda4": NaN}'):
         bad.write_text(text)
         for argv in (["train", "--data", ds_dir, "--out",
                       str(tmp_path / "run")],
@@ -231,6 +292,8 @@ def test_cli_bad_config_exits_2(dataset, tmp_path, capsys, monkeypatch):
     grid = tmp_path / "grid.json"
     for rows in ([{"name": "ok", "overrides": {"method": "dcnn"}},
                   {"name": "typo", "overrides": {"lamda4": 0.1}}],
+                 [{"name": "ok", "overrides": {"method": "dcnn"}},
+                  {"name": "neg", "overrides": {"lambda2": -0.5}}],
                  [{"name": "ok", "overrides": {"method": "dcnn"}},
                   {"overrides": {}}]):
         grid.write_text(json.dumps(rows))
@@ -273,9 +336,19 @@ def test_cli_gradcheck_exits_zero():
     assert cli.main(["gradcheck", "--method", "mda"]) == 0
 
 
-def test_cli_locked_directory_fails(tmp_path):
+def test_cli_locked_directory_fails(tmp_path, capsys):
+    # a lock held by a live process exits 4 and leaves the lock alone
     d = tmp_path / "busy"
     d.mkdir()
-    (d / ".lock").write_text("123")
-    with pytest.raises(RuntimeError):
-        cli.main(["gen", "--scenes", "2", "--out", str(d)])
+    (d / ".lock").write_text(str(os.getpid()))
+    assert cli.main(["gen", "--scenes", "2", "--out", str(d)]) == 4
+    assert capsys.readouterr().err == \
+        f"semloc: {d / '.lock'}: locked by pid {os.getpid()}\n"
+    assert (d / ".lock").read_text() == str(os.getpid())
+    assert not (d / "cfr.bin").exists()
+    # a lock whose pid names no process is stale and is taken over
+    with open("/proc/sys/kernel/pid_max") as fh:
+        dead = int(fh.read()) + 1
+    (d / ".lock").write_text(str(dead))
+    assert cli.main(["gen", "--scenes", "2", "--out", str(d)]) == 0
+    assert (d / "cfr.bin").exists() and not (d / ".lock").exists()

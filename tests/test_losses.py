@@ -7,6 +7,7 @@ import pytest
 from semloc import engine, losses
 from semloc.engine import Tensor, grad_check
 from semloc.models import ModelOutputs
+from semloc.training import TrainConfig
 
 
 def outputs_from(coords, logits, features=None):
@@ -143,8 +144,6 @@ def test_wr_scope_and_value():
         "hda.s1": Tensor(np.array(10.0), requires_grad=True),
     }
     assert abs(losses.loss_wr(params).item() - 2.5) < 1e-12
-    want_all = 0.5 * (1 + 4 + 100 + 100 + 100)
-    assert abs(losses.loss_wr(params, include_all=True).item() - want_all) < 1e-12
 
 
 # ----------------------------------------------------------------------
@@ -165,17 +164,17 @@ def _toy_batch(seed=6, b=4):
 
 def test_mda_total_is_weighted_sum_of_reported_terms():
     out_s, out_t, y, d, params = _toy_batch()
-    w = losses.LossWeights(cr=0.7, pcp=0.3, kt=0.8, wr=0.05, gamma=2.0)
-    total, rep = losses.mda_total(out_s, y, d, out_t, params, w)
+    total, rep = losses.mda_total(out_s, y, d, out_t, params, lam1=0.7,
+                                  lam2=0.3, lam3=0.8, lam4=0.05, gamma=2.0)
     want = (0.7 * rep.cr + 0.3 * rep.pcp + 0.8 * (rep.kt_local + rep.kt_global)
             + 0.05 * rep.wr)
     assert abs(total.item() - want) < 1e-12
 
 
-def test_mda_kt_weight_zero_matches_supervised_only():
+def test_mda_lam3_zero_matches_supervised_only():
     out_s, out_t, y, d, params = _toy_batch()
-    w = losses.LossWeights(cr=1.0, pcp=0.0, kt=1.0, wr=0.05)
-    total, rep = losses.mda_total(out_s, y, d, None, params, w, kt_weight=0.0)
+    total, rep = losses.mda_total(out_s, y, d, None, params, lam1=1.0,
+                                  lam2=0.0, lam3=0.0, lam4=0.05, gamma=2.0)
     assert rep.kt_local == 0.0 and rep.kt_global == 0.0
     assert abs(total.item() - (rep.cr + 0.05 * rep.wr)) < 1e-12
 
@@ -223,18 +222,6 @@ def test_hda_gamma_positive_modulates_ce():
     assert focal < plain  # modulating factor is in (0, 1]
 
 
-def test_hda_exact_tempered_matches_compact_at_unit_sigma():
-    # at sigma2 = 1 the tempered softmax is the plain softmax, with or
-    # without the focal modulation
-    out_s, _, y, d, _ = _toy_batch(seed=10)
-    u = losses.UncertaintyParams()
-    for gamma in (0.0, 2.0):
-        a = losses.hda_nll(out_s, y, d, u, gamma=gamma).item()
-        b = losses.hda_nll(out_s, y, d, u, gamma=gamma,
-                           exact_tempered=True).item()
-        assert abs(a - b) < 1e-12
-
-
 def test_hda_total_composition():
     out_s, out_t, y, d, params = _toy_batch(seed=11)
     u = losses.UncertaintyParams()
@@ -256,6 +243,25 @@ def test_hda_total_builds_cr_once(monkeypatch):
                               lam3=0.5, lam4=0.05, gamma=2.0)
     assert len(calls) == 1
     assert rep.cr == cr(out_s.coords, y).item()
+
+
+@pytest.mark.parametrize("gamma", [0.0, 2.0])
+def test_hda_total_shares_one_log_softmax_with_its_report(monkeypatch,
+                                                          gamma):
+    # the reported L_PCP is the focal loss, bit for bit, derived from the
+    # NLL's own true-class terms instead of a second loss_pcp graph
+    out_s, out_t, y, d, params = _toy_batch(seed=10)
+    u = losses.UncertaintyParams()
+    u.s2.data[...] = 0.4
+    want = losses.loss_pcp(out_s.logits, d, gamma).item()
+    calls = []
+    log_softmax = engine.log_softmax
+    monkeypatch.setattr(engine, "log_softmax",
+                        lambda *a: calls.append(a) or log_softmax(*a))
+    _, rep = losses.hda_total(out_s, y, d, out_t, params, u,
+                              lam3=0.5, lam4=0.05, gamma=gamma)
+    assert len(calls) == 1
+    assert rep.pcp == want
 
 
 # ----------------------------------------------------------------------
@@ -302,5 +308,6 @@ def test_hda_uncertainty_gradients():
 
 
 def test_loss_weights_validation():
+    # loss weights are resolved and validated in one place, TrainConfig
     with pytest.raises(ValueError):
-        losses.LossWeights(cr=-0.1)
+        TrainConfig(lambda1=-0.1)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import semloc.training as training
+from semloc import cli
 from semloc import features as F
 from semloc.dataio import scenario_from_manifest
 from semloc.models import Model
@@ -140,6 +141,13 @@ def test_config_validation():
         TrainConfig(fingerprint="nope")
     with pytest.raises(ValueError):
         TrainConfig(normalization="nope")
+    # loss weights are finite and nonnegative
+    for bad in (dict(lambda1=-1.0), dict(lambda1=-0.1), dict(lambda2=-1.0),
+                dict(gamma=-1.0), dict(lambda3_max=-1.0),
+                dict(lambda4=float("nan")), dict(lambda2=float("inf"))):
+        with pytest.raises(ValueError):
+            TrainConfig(**bad)
+    TrainConfig(method="hda", lambda3_max=0.0, lambda4=0.0, gamma=0.0)
 
 
 def test_method_default_weights():
@@ -218,6 +226,25 @@ def test_mda_lambda2_zero_kt_zero_matches_dcnn(small_dataset):
     col = lambda log: [r.split(",")[1] for r in log.strip().split("\n")[1:]
                        if not r.startswith("epoch")]
     assert col(a.log_csv) == col(b.log_csv)
+
+
+def test_train_and_gradcheck_share_one_objective(small_dataset, monkeypatch):
+    calls = []
+    objective = training.objective
+    monkeypatch.setattr(training, "objective",
+                        lambda cfg, *a, **k: calls.append(cfg.method)
+                        or objective(cfg, *a, **k))
+    # one objective evaluation stands in for the full finite-difference sweep
+    monkeypatch.setattr(cli, "grad_check", lambda f, params, h: f().item())
+    for method in ("mda", "hda"):
+        cli.gradcheck_error(method)
+    assert calls == ["mda", "hda"]
+    calls.clear()
+    res = training.train(small_dataset, SplitPlan.default(12),
+                         small_cfg(method="hda", epochs=1))
+    steps = [l for l in res.log_csv.split("\n")[1:-1]
+             if not l.startswith("epoch")]
+    assert calls == ["hda"] * len(steps) and steps
 
 
 def test_target_labels_never_reach_losses(small_dataset):
