@@ -66,6 +66,8 @@ def _train_config(flag, *layers):
 def cmd_gen(args):
     if args.scenes < 1:
         raise UsageError("--scenes: need at least one scene")
+    if args.seed < 0:
+        raise UsageError("--seed: must be nonnegative")
     try:
         scenario = (Scenario.from_json(args.scenario) if args.scenario
                     else desk_scenario())
@@ -104,6 +106,7 @@ def cmd_train(args):
     cfg = _train_config("--config", _load_json(args.config, "--config"),
                         {k: v for k, v in flags.items() if v is not None})
     split = _split_from(ds, args)
+    training.require_links(ds, split)
     with dataio.DirectoryLock(args.out):
         _echo_config(args.out, cfg.to_dict())
         result = training.train(ds, split, cfg)

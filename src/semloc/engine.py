@@ -366,10 +366,10 @@ def log_softmax(a):
 # convolution / pooling
 # ----------------------------------------------------------------------
 
-def conv2d(x, w, bias=None, padding="same"):
-    """2-D convolution (cross-correlation), stride 1.
+def conv2d(x, w):
+    """2-D "same" convolution (cross-correlation), stride 1, no bias.
 
-    x: [B, C, H, W]; w: [F, C, kh, kw]; padding "same" or "valid".
+    x: [B, C, H, W]; w: [F, C, kh, kw] with odd kh and kw.
     """
     x, w = _lift(x), _lift(w)
     if x.ndim != 4 or w.ndim != 4:
@@ -377,14 +377,9 @@ def conv2d(x, w, bias=None, padding="same"):
     if x.shape[1] != w.shape[1]:
         raise ShapeMismatch("conv2d channel mismatch")
     kh, kw = w.shape[2], w.shape[3]
-    if padding == "same":
-        ph, pw = (kh - 1) // 2, (kw - 1) // 2
-        if kh % 2 == 0 or kw % 2 == 0:
-            raise ShapeMismatch("same padding requires odd kernels")
-    elif padding == "valid":
-        ph = pw = 0
-    else:
-        raise ValueError(f"unknown padding {padding!r}")
+    if kh % 2 == 0 or kw % 2 == 0:
+        raise ShapeMismatch("same padding requires odd kernels")
+    ph, pw = (kh - 1) // 2, (kw - 1) // 2
 
     xp = np.pad(x.data, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
     win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
@@ -407,10 +402,7 @@ def conv2d(x, w, bias=None, padding="same"):
             gx = gx[:, :, ph:ph + H, pw:pw + W]
         x._accumulate(gx)
 
-    out = Tensor(out_data, _parents=(x, w), _backward=_bw)
-    if bias is not None:
-        out = out + reshape(bias, (1, -1, 1, 1))
-    return out
+    return Tensor(out_data, _parents=(x, w), _backward=_bw)
 
 
 def max_pool2d(x):
@@ -440,10 +432,10 @@ def max_pool2d(x):
 # ----------------------------------------------------------------------
 
 BN_EPS = 1e-8
+BN_MOMENTUM = 0.1  # weight of the batch statistics in the running estimate
 
 
-def batch_norm(x, gamma, beta, running_mean, running_var, *,
-               training, momentum=0.1, eps=BN_EPS):
+def batch_norm(x, gamma, beta, running_mean, running_var, *, training):
     """Per-channel batch normalization.
 
     4-D input normalizes over (batch, H, W); 2-D input over the batch
@@ -464,14 +456,14 @@ def batch_norm(x, gamma, beta, running_mean, running_var, *,
         xc = x - mu
         var = tmean(square(xc), axis=axes, keepdims=True)
         # biased batch variance, folded into the running estimate
-        running_mean *= 1.0 - momentum
-        running_mean += momentum * mu.data.reshape(-1)
-        running_var *= 1.0 - momentum
-        running_var += momentum * var.data.reshape(-1)
-        xhat = xc * power(var + eps, -0.5)
+        running_mean *= 1.0 - BN_MOMENTUM
+        running_mean += BN_MOMENTUM * mu.data.reshape(-1)
+        running_var *= 1.0 - BN_MOMENTUM
+        running_var += BN_MOMENTUM * var.data.reshape(-1)
+        xhat = xc * power(var + BN_EPS, -0.5)
     else:
         rm = running_mean.reshape(bshape)
-        rs = 1.0 / np.sqrt(running_var + eps)
+        rs = 1.0 / np.sqrt(running_var + BN_EPS)
         xhat = (x - constant(rm)) * constant(rs.reshape(bshape))
     return reshape(gamma, bshape) * xhat + reshape(beta, bshape)
 
@@ -484,19 +476,18 @@ class SGD:
     """SGD with classical momentum and L2 weight decay as a gradient term.
 
     v <- momentum * v + grad + weight_decay * p ;  p <- p - lr * v
+
+    0-d parameters (the hda log-variances) take plain gradient steps:
+    momentum would scale their effective step by ~1/(1-momentum) and
+    overshoot badly.
     """
 
-    def __init__(self, params, lr=1e-3, momentum=0.99, weight_decay=1e-4,
-                 no_momentum=()):
-        # params: dict name -> Tensor; names starting with a `no_momentum`
-        # prefix take plain gradient steps (momentum would scale their
-        # effective step by ~1/(1-momentum) and overshoot badly for the
-        # few scalar parameters this is meant for)
+    def __init__(self, params, lr=1e-3, momentum=0.99, weight_decay=1e-4):
+        # params: dict name -> Tensor
         self.params = dict(params)
         self.lr = float(lr)
         self.momentum = float(momentum)
         self.weight_decay = float(weight_decay)
-        self.no_momentum = tuple(no_momentum)
         self.velocity = {k: np.zeros_like(p.data) for k, p in self.params.items()}
 
     def zero_grad(self):
@@ -508,10 +499,7 @@ class SGD:
             g = p.grad if p.grad is not None else np.zeros_like(p.data)
             _check_finite(g, f"gradient of {name}")
             v = self.velocity[name]
-            mu = self.momentum
-            if any(name.startswith(pre) for pre in self.no_momentum):
-                mu = 0.0
-            v *= mu
+            v *= self.momentum if p.data.ndim else 0.0
             v += g + self.weight_decay * p.data
             p.data -= self.lr * v
             _check_finite(p.data, f"parameter {name}")

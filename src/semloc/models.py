@@ -145,7 +145,7 @@ class Model:
                 f"batch shape {x.shape} does not match input {self.arch.input_shape}")
         for i in range(len(self.arch.conv_channels)):
             name = f"theta1.conv{i}"
-            x = engine.conv2d(x, self.params[f"{name}.w"], padding="same")
+            x = engine.conv2d(x, self.params[f"{name}.w"])
             x = self._bn(x, name, train)
             x = engine.max_pool2d(x)
             x = engine.relu(x)

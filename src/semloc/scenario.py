@@ -2,8 +2,11 @@
 
 A scenario is a static street layout (BS, UE grid, buildings, traffic
 lanes); a scene is one snapshot of vehicle positions.  Links get a
-direct path plus single-bounce specular reflections off building walls
-and vehicle faces (image method), each kept only if unobstructed.  The
+direct path plus one single-bounce specular reflection (image method)
+per building or vehicle face that both ends see from outside, each kept
+only if unobstructed; the strongest `max_paths` survive.  Every face of
+every box is handled at once as an array, and one segment/box hit test
+per link covers the direct path and both legs of every reflection.  The
 propagation-condition label distinguishes a clear direct path (LOS),
 a direct path blocked only by vehicles (DNLOS) and one blocked by any
 building (SNLOS).
@@ -67,6 +70,10 @@ class Lane:
     truck_fraction: float = 0.35
 
 
+def _is_int(v):
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 # vehicle types: (length, width, height) in meters
 _VEHICLE_SIZES = {"sedan": (4.5, 1.8, 1.5), "truck": (8.0, 2.5, 2.9)}
 
@@ -90,6 +97,17 @@ class Scenario:
 
     def __post_init__(self):
         self.ue_grid = np.asarray(self.ue_grid, float)
+        if self.ue_grid.ndim != 2 or self.ue_grid.shape[1:] != (3,) \
+                or len(self.ue_grid) < 1:
+            raise ValueError(f"ue_grid must be [L, 3] with L >= 1, not "
+                             f"{list(self.ue_grid.shape)}")
+        if not (_is_int(self.max_paths) and self.max_paths >= 1):
+            raise ValueError(f"max_paths must be an integer >= 1, not "
+                             f"{self.max_paths!r}")
+        if self.min_paths is not None and not (
+                _is_int(self.min_paths) and 1 <= self.min_paths <= self.max_paths):
+            raise ValueError(f"min_paths must be an integer in [1, max_paths], "
+                             f"not {self.min_paths!r}")
         if self.n_subcarriers < 2:
             raise ValueError("need at least two subcarriers")
         if not self.carrier_freq > self.bandwidth > 0:
@@ -179,12 +197,15 @@ def steering_vector(azimuth, elevation, array):
     Element (iy, iz), zero-based, has phase
     pi * (iy * sin(elevation) * sin(azimuth) + iz * cos(elevation)),
     so boresight (elevation pi/2, azimuth 0) gives the all-ones vector.
+    Scalar angles give [M]; angle arrays [P] give [M, P], one column per path.
     """
-    iy = np.arange(array.m_y)[:, None]
-    iz = np.arange(array.m_z)[None, :]
+    azimuth, elevation = np.asarray(azimuth, float), np.asarray(elevation, float)
+    extra = (1,) * azimuth.ndim
+    iy = np.arange(array.m_y).reshape((-1, 1) + extra)
+    iz = np.arange(array.m_z).reshape((1, -1) + extra)
     phase = np.pi * 2.0 * array.spacing * (
         iy * np.sin(elevation) * np.sin(azimuth) + iz * np.cos(elevation))
-    return np.exp(1j * phase).reshape(-1)
+    return np.exp(1j * phase).reshape((array.size,) + azimuth.shape)
 
 
 def synth_cfr(mpcs, scenario, array=None):
@@ -192,8 +213,7 @@ def synth_cfr(mpcs, scenario, array=None):
     if len(mpcs) == 0:
         raise EmptyLink("cannot synthesize CFR from an empty path set")
     array = array if array is not None else scenario.array
-    a_mat = np.stack([steering_vector(az, el, array)
-                      for az, el in zip(mpcs.azimuths, mpcs.elevations)], axis=1)
+    a_mat = steering_vector(mpcs.azimuths, mpcs.elevations, array)  # [M, P]
     freqs = scenario.subcarrier_freqs()
     phases = np.exp(-2j * np.pi * np.outer(mpcs.delays, freqs))  # [P, K]
     return (a_mat * mpcs.gains[None, :]) @ phases
@@ -242,111 +262,90 @@ def _boxes_to_arrays(boxes):
     return lo, hi
 
 
-def _departure_angles(direction):
-    d = direction / np.linalg.norm(direction)
-    elevation = np.arccos(np.clip(d[2], -1.0, 1.0))
-    azimuth = np.arctan2(d[1], d[0])
-    return azimuth, elevation
+def _norms(v):
+    """Row norms of [N, 3]; rounds exactly like np.linalg.norm of each row."""
+    return np.sqrt(np.vecdot(v, v))
 
 
 # ----------------------------------------------------------------------
 # first-order ray tracing
 # ----------------------------------------------------------------------
 
+def _specular_points(bs, ue, boxes_lo, boxes_hi):
+    """Image-method reflection points [R, 3], one per valid box face.
+
+    A face is valid when BS and UE both lie strictly on its outer side
+    and the specular point falls inside the face.  Rows come in (box,
+    axis, lo face then hi face) order.
+    """
+    plane = np.stack([boxes_lo, boxes_hi], axis=-1)     # [B, axis, face]
+    sign = np.array([-1.0, 1.0])
+    facing = ((sign * (bs[:, None] - plane) > 1e-9)
+              & (sign * (ue[:, None] - plane) > 1e-9))
+    # the BS mirrored in each face plane, [B, axis, face, coord]
+    mirrored = 2.0 * plane - bs[:, None]
+    on_axis = np.eye(3, dtype=bool)[:, None, :]          # [axis, 1, coord]
+    img = np.where(on_axis, mirrored[..., None], bs)
+    d = ue - img
+    d_axis = ue[:, None] - mirrored
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = (plane - mirrored) / d_axis
+        q = img + t[..., None] * d
+    in_face = ((boxes_lo[:, None, None, :] - 1e-9 <= q)
+               & (q <= boxes_hi[:, None, None, :] + 1e-9)) | on_axis
+    valid = (facing & (np.abs(d_axis) >= 1e-12) & (0.0 < t) & (t < 1.0)
+             & in_face.all(axis=-1))
+    return q[valid]
+
+
 def trace_paths(scenario, scene, ue, n_keep=None):
     """Direct path + single-bounce reflections for one BS-UE link.
 
     Returns (MpcSet, label).  Raises EmptyLink when nothing survives.
-    `n_keep` truncates to the strongest n paths (default scenario.max_paths).
+    `n_keep` truncates to the strongest n paths (default scenario.max_paths),
+    kept in emission order: the direct path, then reflections by face.
     """
     bs = np.asarray(scenario.bs_position, float)
     ue = np.asarray(ue, float)
     lam = scenario.wavelength
-    rho = scenario.reflection_coeff
+    n_bld = len(scenario.buildings)
+    lo, hi = _boxes_to_arrays(list(scenario.buildings) + list(scene.vehicles))
 
-    bld_lo, bld_hi = _boxes_to_arrays(scenario.buildings)
-    veh_lo, veh_hi = _boxes_to_arrays(scene.vehicles)
-    all_lo = np.concatenate([bld_lo, veh_lo])
-    all_hi = np.concatenate([bld_hi, veh_hi])
-
-    # direct path and semantic label
-    hit_bld = segments_hit_boxes(bs, ue, bld_lo, bld_hi)[0]
-    hit_veh = segments_hit_boxes(bs, ue, veh_lo, veh_hi)[0]
-    if hit_bld.any():
+    # one hit test: the direct path, then the BS -> q and q -> UE legs
+    q = _specular_points(bs, ue, lo, hi)
+    r = len(q)
+    hits = segments_hit_boxes(
+        np.concatenate([bs[None], np.broadcast_to(bs, q.shape), q]),
+        np.concatenate([ue[None], q, np.broadcast_to(ue, q.shape)]), lo, hi)
+    if hits[0, :n_bld].any():
         label = SNLOS
-    elif hit_veh.any():
+    elif hits[0, n_bld:].any():
         label = DNLOS
     else:
         label = LOS
-
-    lengths, dirs = [], []
-    if label == LOS:
-        lengths.append(np.linalg.norm(ue - bs))
-        dirs.append(ue - bs)
-    n_direct = len(lengths)
-
-    # image-method reflections off every face of every box
-    refl_segs = _reflection_candidates(bs, ue, all_lo, all_hi)
-    if refl_segs:
-        q_pts = np.array([q for q, _ in refl_segs])
-        seg1 = segments_hit_boxes(np.broadcast_to(bs, q_pts.shape), q_pts,
-                                  all_lo, all_hi).any(axis=1)
-        seg2 = segments_hit_boxes(q_pts, np.broadcast_to(ue, q_pts.shape),
-                                  all_lo, all_hi).any(axis=1)
-        for (q, _), b1, b2 in zip(refl_segs, seg1, seg2):
-            if b1 or b2:
-                continue
-            lengths.append(np.linalg.norm(q - bs) + np.linalg.norm(ue - q))
-            dirs.append(q - bs)
-
-    if not lengths:
+    points = q[~(hits[1:r + 1].any(axis=1) | hits[r + 1:].any(axis=1))]
+    n_direct = int(label == LOS)
+    if n_direct:  # the direct path is a "reflection" at the UE itself
+        points = np.concatenate([ue[None], points])
+    if len(points) == 0:
         raise EmptyLink(f"no surviving path to UE at {ue.tolist()}")
 
-    lengths = np.asarray(lengths)
+    dirs = points - bs
+    first_leg = _norms(dirs)
+    lengths = first_leg + _norms(ue - points)
     gains = lam / (4.0 * np.pi * lengths) * np.exp(-2j * np.pi * lengths / lam)
-    gains[n_direct:] *= rho
-    angles = np.array([_departure_angles(d) for d in dirs])
+    gains[n_direct:] *= scenario.reflection_coeff
+    unit = dirs / first_leg[:, None]
+    elevations = np.arccos(np.clip(unit[:, 2], -1.0, 1.0))
+    azimuths = np.arctan2(unit[:, 1], unit[:, 0])
     delays = lengths / SPEED_OF_LIGHT
 
     # keep the strongest paths (stable order for determinism)
     n_keep = n_keep if n_keep is not None else scenario.max_paths
     order = np.argsort(-np.abs(gains), kind="stable")[:n_keep]
     order = np.sort(order)  # preserve emission order among the survivors
-    return MpcSet(gains[order], angles[order, 0], angles[order, 1],
+    return MpcSet(gains[order], azimuths[order], elevations[order],
                   delays[order]), label
-
-
-def _reflection_candidates(bs, ue, boxes_lo, boxes_hi):
-    """(reflection point, box index) for every geometrically valid face."""
-    out = []
-    for bi in range(boxes_lo.shape[0]):
-        lo, hi = boxes_lo[bi], boxes_hi[bi]
-        for axis in range(3):
-            for plane, sign in ((lo[axis], -1.0), (hi[axis], 1.0)):
-                # both endpoints strictly on the outer side of the face
-                if sign * (bs[axis] - plane) <= 1e-9:
-                    continue
-                if sign * (ue[axis] - plane) <= 1e-9:
-                    continue
-                img = bs.copy()
-                img[axis] = 2.0 * plane - bs[axis]
-                d = ue - img
-                if abs(d[axis]) < 1e-12:
-                    continue
-                t = (plane - img[axis]) / d[axis]
-                if not 0.0 < t < 1.0:
-                    continue
-                q = img + t * d
-                ok = True
-                for ax2 in range(3):
-                    if ax2 == axis:
-                        continue
-                    if not (lo[ax2] - 1e-9 <= q[ax2] <= hi[ax2] + 1e-9):
-                        ok = False
-                        break
-                if ok:
-                    out.append((q, bi))
-    return out
 
 
 # ----------------------------------------------------------------------

@@ -76,17 +76,32 @@ class TrainConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
+        for name in ("batch_size", "epochs", "seed"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, not {v!r}")
         if self.batch_size < 2:
             raise ValueError("batch norm needs batch_size >= 2")
         if self.epochs < 1:
             raise ValueError("epochs >= 1")
+        if self.seed < 0:
+            raise ValueError("seed >= 0")
+        if not (np.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"lr must be finite and positive, not {self.lr!r}")
+        if not 0 <= self.momentum < 1:
+            raise ValueError(f"momentum must lie in [0, 1), not "
+                             f"{self.momentum!r}")
         if self.fingerprint not in feat.FINGERPRINT_KINDS:
             raise ValueError(f"unknown fingerprint {self.fingerprint!r}")
         if self.normalization not in feat.NORM_SCHEMES:
             raise ValueError(f"unknown normalization {self.normalization!r}")
-        for name in ("lambda1", "lambda2", "lambda3_max", "lambda4", "gamma"):
+        optional = ("lambda1", "lambda2")  # None -> the method's default
+        for name in optional + ("lambda3_max", "lambda4", "gamma",
+                                "optimizer_weight_decay"):
             v = getattr(self, name)
-            if v is not None and not (np.isfinite(v) and v >= 0):
+            if v is None and name in optional:
+                continue
+            if v is None or not (np.isfinite(v) and v >= 0):
                 raise ValueError(f"{name} must be finite and nonnegative, "
                                  f"not {v!r}")
 
@@ -155,6 +170,16 @@ def prepare_domains(ds, split, cfg):
             prepare_domain(ds, split.target_scenes, cfg))
 
 
+def require_links(ds, split):
+    """Raise EmptySplit unless the source, val and target scenes of a valid
+    split each hold a link of `ds`."""
+    split.validate(ds.manifest["n_scenes"])
+    for which in ("source", "val", "target"):
+        scenes = getattr(split, f"{which}_scenes")
+        if not np.isin(ds.scene_ids, list(scenes)).any():
+            raise EmptySplit(f"empty {which} split: no links in scenes {scenes}")
+
+
 def arch_for(cfg, input_shape, n_classes=3):
     conv = cfg.conv_channels or [16, 32, 32, 64]
     mlp = cfg.mlp_widths or [256, 128]
@@ -203,10 +228,9 @@ def train(dataset, split, cfg):
     """Train per the configured method; returns the best-val-RMSE checkpoint
     and the prepared domains, so callers score it without preparing them
     again."""
+    require_links(dataset, split)
     domains = prepare_domains(dataset, split, cfg)
     source, val, target = domains
-    if min(len(d.inputs) for d in domains) == 0:
-        raise EmptySplit("empty source, validation or target split")
 
     model = Model(arch_for(cfg, source.inputs.shape[1:]), seed=cfg.seed)
     params = dict(model.params)
@@ -217,8 +241,7 @@ def train(dataset, split, cfg):
         params.update(u.as_params())
 
     opt = SGD(params, lr=cfg.lr, momentum=cfg.momentum,
-              weight_decay=cfg.optimizer_weight_decay,
-              no_momentum=("hda.",))
+              weight_decay=cfg.optimizer_weight_decay)
     rng = np.random.default_rng([cfg.seed, 101])
 
     n_src = len(source.inputs)

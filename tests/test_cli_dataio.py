@@ -96,9 +96,14 @@ def test_cli_usage_errors_exit_2(tmp_path, capsys):
     # values that parse but are not usable: one stderr line, and no output
     # directory is created
     out = tmp_path / "out"
-    scenario = json.dumps(desk_scenario().to_dict())
+    desk = desk_scenario().to_dict()
+    scenario = json.dumps(desk)
     for name, text in (("bad.json", "{bad"), ("list.json", "[1, 2]"),
-                       ("nokey.json", scenario.replace('"lanes"', '"lane"'))):
+                       ("nokey.json", scenario.replace('"lanes"', '"lane"')),
+                       ("minp.json", json.dumps({**desk, "min_paths": 9,
+                                                 "max_paths": 4})),
+                       ("maxp.json", json.dumps({**desk, "max_paths": 0})),
+                       ("grid.json", json.dumps({**desk, "ue_grid": [[0, 1]]}))):
         (tmp_path / name).write_text(text)
     for argv in (["gen", "--scenes", "0", "--out", str(out)],
                  ["gen", "--scenario", str(tmp_path / "nope.json"),
@@ -109,6 +114,13 @@ def test_cli_usage_errors_exit_2(tmp_path, capsys):
                   "--out", str(out)],
                  ["gen", "--scenario", str(tmp_path / "nokey.json"),
                   "--out", str(out)],
+                 ["gen", "--scenario", str(tmp_path / "minp.json"),
+                  "--out", str(out)],
+                 ["gen", "--scenario", str(tmp_path / "maxp.json"),
+                  "--out", str(out)],
+                 ["gen", "--scenario", str(tmp_path / "grid.json"),
+                  "--out", str(out)],
+                 ["gen", "--seed", "-1", "--out", str(out)],
                  ["describe", "--input-shape", "1", "16", "24"],
                  ["describe", "--input-shape", "1", "8", "16"]):
         assert cli.main(argv) == 2, argv
@@ -279,15 +291,23 @@ def test_cli_bad_config_exits_2(dataset, tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(training, "train",
                         lambda *a: trained.append(a) or 1 / 0)
     bad = tmp_path / "bad.json"
+    run = tmp_path / "run"
     for text in ('{"epochz": 1}', '{"fingerprint": "nope"}', '[1, 2]',
                  '{"epochs": 0}', '{bad', '{"lambda1": -1}', '{"gamma": -1}',
-                 '{"lambda3_max": -1}', '{"lambda4": NaN}'):
+                 '{"lambda3_max": -1}', '{"lambda4": NaN}', '{"lr": NaN}',
+                 '{"lr": 0}', '{"momentum": 1}',
+                 '{"optimizer_weight_decay": -1}', '{"batch_size": 8.5}',
+                 '{"epochs": true}', '{"seed": -1}'):
         bad.write_text(text)
-        for argv in (["train", "--data", ds_dir, "--out",
-                      str(tmp_path / "run")],
+        for argv in (["train", "--data", ds_dir, "--out", str(run)],
                      ["describe"], ["ablate", "--data", ds_dir]):
             assert cli.main(argv + ["--config", str(bad)]) == 2, (text, argv)
             assert_one_error_line(capsys, "semloc: --config")
+            assert not run.exists()
+    assert cli.main(["train", "--data", ds_dir, "--seed", "-1",
+                     "--out", str(run)]) == 2
+    assert_one_error_line(capsys, "semloc: --config")
+    assert not run.exists()
     # every grid row is checked before the first one trains
     grid = tmp_path / "grid.json"
     for rows in ([{"name": "ok", "overrides": {"method": "dcnn"}},
@@ -309,8 +329,8 @@ def test_cli_train_on_an_empty_split_exits_2(dataset, tmp_path, capsys):
     assert training.SplitPlan.default(4).val_scenes == range(2, 2)
     assert cli.main(["train", "--data", ds_dir, "--epochs", "1",
                      "--out", str(tmp_path / "run")]) == 2
-    assert_one_error_line(capsys, "semloc: empty")
-    assert not (tmp_path / "run" / ".lock").exists()
+    assert_one_error_line(capsys, "semloc: empty val split")
+    assert not (tmp_path / "run").exists()
     assert cli.main(["eval", "--ckpt", ckpt, "--data", ds_dir,
                      "--split", "val"]) == 2
     assert_one_error_line(capsys)

@@ -15,6 +15,10 @@ from semloc.scenario import (DNLOS, LOS, SNLOS, SPEED_OF_LIGHT, ArrayGeometry,
                              segments_hit_boxes, steering_vector, synth_cfr,
                              trace_paths)
 
+# the array tracer divides by zero-length axes on purpose; those divisions
+# must stay inside np.errstate
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 # ----------------------------------------------------------------------
 # steering vectors and CFR synthesis
@@ -43,6 +47,17 @@ def test_steering_unit_modulus():
         a = steering_vector(rng.uniform(-np.pi, np.pi), rng.uniform(0, np.pi),
                             ArrayGeometry(3, 5))
         np.testing.assert_allclose(np.abs(a), 1.0, atol=1e-14)
+
+
+def test_steering_angle_arrays_stack_scalar_columns():
+    rng = np.random.default_rng(1)
+    arr = ArrayGeometry(3, 5)
+    az, el = rng.uniform(-np.pi, np.pi, 7), rng.uniform(0, np.pi, 7)
+    a = steering_vector(az, el, arr)
+    assert a.shape == (15, 7)
+    want = np.stack([steering_vector(p, q, arr) for p, q in zip(az, el)],
+                    axis=1)
+    assert np.array_equal(a, want)
 
 
 def _tiny_scenario(**kw):
@@ -219,6 +234,134 @@ def test_max_paths_keeps_strongest():
 
 
 # ----------------------------------------------------------------------
+# array tracer against the per-candidate loop tracer
+# ----------------------------------------------------------------------
+
+def _loop_reflection_points(bs, ue, boxes_lo, boxes_hi):
+    """Specular points, one candidate face at a time."""
+    out = []
+    for bi in range(boxes_lo.shape[0]):
+        lo, hi = boxes_lo[bi], boxes_hi[bi]
+        for axis in range(3):
+            for plane, sign in ((lo[axis], -1.0), (hi[axis], 1.0)):
+                if sign * (bs[axis] - plane) <= 1e-9:
+                    continue
+                if sign * (ue[axis] - plane) <= 1e-9:
+                    continue
+                img = bs.copy()
+                img[axis] = 2.0 * plane - bs[axis]
+                d = ue - img
+                if abs(d[axis]) < 1e-12:
+                    continue
+                t = (plane - img[axis]) / d[axis]
+                if not 0.0 < t < 1.0:
+                    continue
+                q = img + t * d
+                if all(lo[a] - 1e-9 <= q[a] <= hi[a] + 1e-9
+                       for a in range(3) if a != axis):
+                    out.append(q)
+    return out
+
+
+def _loop_departure_angles(direction):
+    d = direction / np.linalg.norm(direction)
+    return np.arctan2(d[1], d[0]), np.arccos(np.clip(d[2], -1.0, 1.0))
+
+
+def _loop_trace_paths(scenario, scene, ue, n_keep=None):
+    """Reference tracer: separate hit tests and per-path norms and angles."""
+    bs = np.asarray(scenario.bs_position, float)
+    ue = np.asarray(ue, float)
+    lam = scenario.wavelength
+    bld_lo, bld_hi = S._boxes_to_arrays(scenario.buildings)
+    veh_lo, veh_hi = S._boxes_to_arrays(scene.vehicles)
+    all_lo = np.concatenate([bld_lo, veh_lo])
+    all_hi = np.concatenate([bld_hi, veh_hi])
+    if segments_hit_boxes(bs, ue, bld_lo, bld_hi)[0].any():
+        label = SNLOS
+    elif segments_hit_boxes(bs, ue, veh_lo, veh_hi)[0].any():
+        label = DNLOS
+    else:
+        label = LOS
+    lengths, dirs = [], []
+    if label == LOS:
+        lengths.append(np.linalg.norm(ue - bs))
+        dirs.append(ue - bs)
+    n_direct = len(lengths)
+    for q in _loop_reflection_points(bs, ue, all_lo, all_hi):
+        if (segments_hit_boxes(bs, q, all_lo, all_hi).any()
+                or segments_hit_boxes(q, ue, all_lo, all_hi).any()):
+            continue
+        lengths.append(np.linalg.norm(q - bs) + np.linalg.norm(ue - q))
+        dirs.append(q - bs)
+    if not lengths:
+        raise EmptyLink("no surviving path")
+    lengths = np.asarray(lengths)
+    gains = lam / (4.0 * np.pi * lengths) * np.exp(-2j * np.pi * lengths / lam)
+    gains[n_direct:] *= scenario.reflection_coeff
+    angles = np.array([_loop_departure_angles(d) for d in dirs])
+    delays = lengths / SPEED_OF_LIGHT
+    n_keep = n_keep if n_keep is not None else scenario.max_paths
+    order = np.sort(np.argsort(-np.abs(gains), kind="stable")[:n_keep])
+    return MpcSet(gains[order], angles[order, 0], angles[order, 1],
+                  delays[order]), label
+
+
+def _assert_traces_equal(sc, scene, ue, n_keep):
+    try:
+        want = _loop_trace_paths(sc, scene, ue, n_keep)
+    except EmptyLink:
+        with pytest.raises(EmptyLink):
+            trace_paths(sc, scene, ue, n_keep)
+        return None
+    got = trace_paths(sc, scene, ue, n_keep)
+    assert got[1] == want[1]
+    for name in ("gains", "azimuths", "elevations", "delays"):
+        assert np.array_equal(getattr(got[0], name), getattr(want[0], name)), name
+    return want[1]
+
+
+def test_array_tracer_matches_loop_tracer_on_toy_scenes():
+    # the box generator of acceptance test 4; every other scene drops its
+    # ceiling mirror, so some links lose every path
+    rng = np.random.default_rng(13)
+    mirror = Box((-30.0, -30.0, 50.0), (30.0, 30.0, 51.0))
+    labels, empty = set(), 0
+
+    def rand_boxes(n):
+        out = []
+        for _ in range(n):
+            lo = np.array([rng.uniform(-8, 8), rng.uniform(0, 2.5), 0.0])
+            hi = lo + [rng.uniform(0.5, 4), rng.uniform(0.5, 1.0),
+                       rng.uniform(1, 6)]
+            out.append(Box(tuple(lo), tuple(hi)))
+        return out
+
+    for i in range(1000):
+        buildings = rand_boxes(rng.integers(0, 3))
+        vehicles = rand_boxes(rng.integers(0, 3))
+        sc = Scenario(bs_position=(0.0, 0.0, 8.0), array=ArrayGeometry(2, 2),
+                      carrier_freq=3.5e9, bandwidth=100e6, n_subcarriers=8,
+                      ue_grid=np.array([[10.0, 5.0, 1.5]]), grid_spacing=1.0,
+                      buildings=buildings + [mirror] * (i % 2), max_paths=4)
+        ue = np.array([rng.uniform(-10, 10), rng.uniform(4, 6), 1.5])
+        n_keep = None if i % 3 else int(rng.integers(1, 4))
+        label = _assert_traces_equal(sc, Scene(0, vehicles), ue, n_keep)
+        if label is None:
+            empty += 1
+        labels.add(label)
+    assert labels == {LOS, DNLOS, SNLOS, None} and empty > 0
+
+
+@pytest.mark.parametrize("n_keep", [None, 3])
+def test_array_tracer_matches_loop_tracer_on_a_desk_scene(n_keep):
+    sc = desk_scenario()
+    scene = make_scene(sc, 0, 30, 40)
+    labels = [_assert_traces_equal(sc, scene, ue, n_keep) for ue in sc.ue_grid]
+    assert {LOS, DNLOS, SNLOS} <= set(labels)
+
+
+# ----------------------------------------------------------------------
 # scenes and datasets
 # ----------------------------------------------------------------------
 
@@ -296,6 +439,16 @@ def test_desk_label_histogram_has_all_classes():
     ds = generate_dataset(desk_scenario(), n_scenes=6, seed=0)
     hist = np.bincount(ds.labels, minlength=3) / len(ds.labels)
     assert np.all(hist >= 0.05)
+
+
+def test_scenario_validation():
+    for bad in (dict(max_paths=0), dict(max_paths=2.5),
+                dict(min_paths=0), dict(min_paths=9, max_paths=4),
+                dict(ue_grid=np.zeros((3, 2))), dict(ue_grid=np.zeros((0, 3))),
+                dict(ue_grid=np.zeros(3))):
+        with pytest.raises(ValueError):
+            _tiny_scenario(**bad)
+    _tiny_scenario(min_paths=4, max_paths=4)
 
 
 def test_scenario_json_round_trip(tmp_path):

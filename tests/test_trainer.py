@@ -144,9 +144,20 @@ def test_config_validation():
     # loss weights are finite and nonnegative
     for bad in (dict(lambda1=-1.0), dict(lambda1=-0.1), dict(lambda2=-1.0),
                 dict(gamma=-1.0), dict(lambda3_max=-1.0),
-                dict(lambda4=float("nan")), dict(lambda2=float("inf"))):
+                dict(lambda4=float("nan")), dict(lambda2=float("inf")),
+                dict(lambda3_max=None)):
         with pytest.raises(ValueError):
             TrainConfig(**bad)
+    # optimizer settings and integer fields
+    for bad in (dict(lr=float("nan")), dict(lr=0.0), dict(lr=-1e-3),
+                dict(momentum=1.0), dict(momentum=-0.1),
+                dict(optimizer_weight_decay=-1.0),
+                dict(optimizer_weight_decay=float("inf")),
+                dict(batch_size=8.5), dict(epochs=True), dict(seed=1.0),
+                dict(seed=-1)):
+        with pytest.raises(ValueError):
+            TrainConfig(**bad)
+    TrainConfig(momentum=0.0, batch_size=np.int64(8), seed=np.int64(3))
     TrainConfig(method="hda", lambda3_max=0.0, lambda4=0.0, gamma=0.0)
 
 
