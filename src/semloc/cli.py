@@ -110,8 +110,8 @@ def cmd_train(args):
     with dataio.DirectoryLock(args.out):
         _echo_config(args.out, cfg.to_dict())
         result = training.train(ds, split, cfg)
-        with open(os.path.join(args.out, "train_log.csv"), "w") as fh:
-            fh.write(result.log_csv)
+        dataio.write_file(os.path.join(args.out, "train_log.csv"),
+                          result.log_csv)
         manifest = {"arch": result.model.arch.to_dict(),
                     "train_config": cfg.to_dict(),
                     "best_epoch": result.best_epoch,
@@ -213,8 +213,7 @@ def cmd_ablate(args):
                                  seeds=tuple(args.seeds))
     csv = training.ablation_csv(rows)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(csv)
+        dataio.write_file(args.out, csv)
     print(csv, end="")
     return EXIT_OK
 
@@ -245,8 +244,7 @@ def cmd_report(args):
             lines.append(f"{e:.6g},{(i + 1) / n:.6g}")
     text = "\n".join(lines) + "\n"
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        dataio.write_file(args.out, text)
     else:
         print(text, end="")
     return EXIT_OK

@@ -5,7 +5,9 @@ as interleaved little-endian float32 re/im, layout
 [sample][antenna][subcarrier]), coords.bin (float32 [sample][3], meters)
 and labels.bin (uint8 [sample]).  Checkpoints are manifest.json plus
 params.bin: raw little-endian float64, concatenated in stable
-parameter-name sort order.
+parameter-name sort order.  Every file is written to a temporary name in
+its directory and then renamed over the target, so a crash never leaves a
+half-written file.
 """
 
 from __future__ import annotations
@@ -19,21 +21,34 @@ import numpy as np
 from .scenario import Dataset, Scenario
 
 
+def write_file(path, data):
+    """Write `data` (str or bytes) to `path` atomically: into a temporary
+    file in the same directory, then `os.replace` onto `path`."""
+    path = os.fspath(path)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w" if isinstance(data, str) else "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
+
+
 def write_json(path, obj):
-    with open(path, "w") as fh:
-        json.dump(obj, fh, indent=1, sort_keys=True, default=str)
-        fh.write("\n")
+    write_file(path, json.dumps(obj, indent=1, sort_keys=True, default=str)
+               + "\n")
 
 
 def save_dataset(ds, out_dir):
     os.makedirs(out_dir, exist_ok=True)
     cfr32 = np.ascontiguousarray(ds.cfr.astype("<c8"))
-    with open(os.path.join(out_dir, "cfr.bin"), "wb") as fh:
-        fh.write(cfr32.view("<f4").tobytes())
-    with open(os.path.join(out_dir, "coords.bin"), "wb") as fh:
-        fh.write(ds.coords.astype("<f4").tobytes())
-    with open(os.path.join(out_dir, "labels.bin"), "wb") as fh:
-        fh.write(ds.labels.astype(np.uint8).tobytes())
+    write_file(os.path.join(out_dir, "cfr.bin"), cfr32.view("<f4").tobytes())
+    write_file(os.path.join(out_dir, "coords.bin"),
+               ds.coords.astype("<f4").tobytes())
+    write_file(os.path.join(out_dir, "labels.bin"),
+               ds.labels.astype(np.uint8).tobytes())
     write_json(os.path.join(out_dir, "manifest.json"), ds.manifest)
 
 
@@ -107,8 +122,8 @@ def save_checkpoint(out_dir, param_data, manifest):
     names = sorted(param_data)
     blob = np.concatenate([np.asarray(param_data[n], np.float64).reshape(-1)
                            for n in names])
-    with open(os.path.join(out_dir, "params.bin"), "wb") as fh:
-        fh.write(blob.astype("<f8").tobytes())
+    write_file(os.path.join(out_dir, "params.bin"),
+               blob.astype("<f8").tobytes())
     manifest = dict(manifest)
     manifest["param_order"] = names
     manifest["param_shapes"] = {n: list(np.asarray(param_data[n]).shape)

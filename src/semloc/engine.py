@@ -4,11 +4,20 @@ Everything runs on float64 numpy arrays.  The primitive set is exactly
 what the localization networks and losses need: matmul, conv2d,
 max_pool2d, batch_norm, relu, sigmoid, (log_)softmax, elementwise
 arithmetic, reductions, concat and a vector Kronecker product.  Each
-primitive registers a closure that propagates adjoints to its parents;
-``Tensor.backward`` walks the graph once in reverse topological order.
+primitive registers a closure that propagates adjoints to the parents
+that need a gradient; ``Tensor.backward`` walks the graph once in reverse
+topological order.  Inside ``no_grad()`` no graph is built at all.
+
+Finiteness is checked at the boundaries only: leaf tensors (user data,
+parameters, lifted constants), the loss in ``backward``, and the
+gradients and parameters in ``SGD.step``.  Intermediate values are not
+checked; a non-finite one reaches the loss, or the caller's check of a
+forward output.
 """
 
 from __future__ import annotations
+
+import contextlib
 
 import numpy as np
 
@@ -29,6 +38,21 @@ def _check_finite(a, what="tensor"):
             raise NonFinite(f"non-finite values in {what}")
 
 
+_GRAD_ENABLED = [True]
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Record no graph inside the block: new tensors keep no parents and no
+    backward closure.  The previous state returns on exit, also on error."""
+    saved = _GRAD_ENABLED[0]
+    _GRAD_ENABLED[0] = False
+    try:
+        yield
+    finally:
+        _GRAD_ENABLED[0] = saved
+
+
 def _unbroadcast(grad, shape):
     """Sum `grad` down to `shape` (inverse of numpy broadcasting)."""
     while grad.ndim > len(shape):
@@ -46,13 +70,16 @@ class Tensor:
 
     def __init__(self, data, requires_grad=False, _parents=(), _backward=None):
         self.data = np.asarray(data, dtype=np.float64)
-        _check_finite(self.data)
+        if not _parents:
+            _check_finite(self.data)
         self.grad = None
-        self.requires_grad = bool(requires_grad) or any(
-            p.requires_grad for p in _parents
-        )
-        self._parents = _parents if self.requires_grad else ()
-        self._backward = _backward if self.requires_grad else None
+        # only parents that need a gradient are recorded, so backward never
+        # visits (or accumulates into) data and constants
+        _parents = (tuple(p for p in _parents if p.requires_grad)
+                    if _GRAD_ENABLED[0] else ())
+        self.requires_grad = bool(requires_grad) or bool(_parents)
+        self._parents = _parents
+        self._backward = _backward if _parents else None
 
     @property
     def shape(self):
@@ -66,6 +93,8 @@ class Tensor:
         return float(self.data)
 
     def _accumulate(self, g):
+        if not self.requires_grad:
+            return
         if self.grad is None:
             self.grad = np.zeros_like(self.data)
         self.grad += _unbroadcast(np.asarray(g, dtype=np.float64), self.data.shape)
@@ -101,7 +130,6 @@ class Tensor:
         self.grad = np.ones_like(self.data)
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
-                _check_finite(node.grad, "adjoint")
                 node._backward(node.grad)
 
     # -- operator sugar -------------------------------------------------
@@ -380,17 +408,28 @@ def conv2d(x, w):
     if kh % 2 == 0 or kw % 2 == 0:
         raise ShapeMismatch("same padding requires odd kernels")
     ph, pw = (kh - 1) // 2, (kw - 1) // 2
+    B, C, H, W = x.shape
+    F = w.shape[0]
 
     xp = np.pad(x.data, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
-    # win: [B, C, Ho, Wo, kh, kw]
-    out_data = np.tensordot(win, w.data, axes=([1, 4, 5], [1, 2, 3]))
-    out_data = np.ascontiguousarray(out_data.transpose(0, 3, 1, 2))
+    # K-major im2col (Chellapilla et al., 2006): cols[c, i, j] is the input
+    # shifted by (i, j), so the forward is one [F, K] @ [K, B*H*W] matmul
+    xt = xp.transpose(1, 0, 2, 3)
+    cols = np.empty((C, kh, kw, B, H, W))
+    for i in range(kh):
+        for j in range(kw):
+            cols[:, i, j] = xt[:, :, i:i + H, j:j + W]
+    out_data = w.data.reshape(F, -1) @ cols.reshape(C * kh * kw, -1)
+    out_data = np.ascontiguousarray(
+        out_data.reshape(F, B, H, W).transpose(1, 0, 2, 3))
 
     def _bw(g):
-        # kernel gradient
+        win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
+        # win: [B, C, Ho, Wo, kh, kw]
         gw = np.tensordot(g, win, axes=([0, 2, 3], [0, 2, 3]))  # [F,C,kh,kw]
         w._accumulate(gw)
+        if not x.requires_grad:  # raw input data: nobody reads its gradient
+            return
         # input gradient: full correlation of g with the rotated kernel
         gp = np.pad(g, ((0, 0), (0, 0), (kh - 1, kh - 1), (kw - 1, kw - 1)))
         gwin = np.lib.stride_tricks.sliding_window_view(gp, (kh, kw), axis=(2, 3))
@@ -398,7 +437,6 @@ def conv2d(x, w):
         gx = np.tensordot(gwin, wrot, axes=([1, 4, 5], [0, 2, 3]))
         gx = gx.transpose(0, 3, 1, 2)
         if ph or pw:
-            H, W = x.data.shape[2], x.data.shape[3]
             gx = gx[:, :, ph:ph + H, pw:pw + W]
         x._accumulate(gx)
 
@@ -413,16 +451,23 @@ def max_pool2d(x):
     B, C, H, W = x.shape
     if H % 2 or W % 2:
         raise ShapeMismatch("max_pool2d requires even spatial dims")
-    xr = x.data.reshape(B, C, H // 2, 2, W // 2, 2)
-    xr = xr.transpose(0, 1, 2, 4, 3, 5).reshape(B, C, H // 2, W // 2, 4)
-    idx = xr.argmax(axis=-1)
-    out_data = np.take_along_axis(xr, idx[..., None], axis=-1)[..., 0]
+    d = x.data
+    # the four window corners in row-major window order (00, 01, 10, 11)
+    corners = [d[:, :, i::2, j::2] for i in (0, 1) for j in (0, 1)]
+    # np.maximum may not keep the first of a +0.0/-0.0 tie, but a pool input
+    # is batch-norm output gamma*xhat + beta, which is never -0.0
+    out_data = np.maximum(np.maximum(corners[0], corners[1]),
+                          np.maximum(corners[2], corners[3]))
 
     def _bw(g):
-        g4 = np.zeros((B, C, H // 2, W // 2, 4))
-        np.put_along_axis(g4, idx[..., None], g[..., None], axis=-1)
-        gx = g4.reshape(B, C, H // 2, W // 2, 2, 2).transpose(0, 1, 2, 4, 3, 5)
-        x._accumulate(gx.reshape(B, C, H, W))
+        # each window's gradient goes to its first maximum, as argmax picks
+        gx = np.zeros_like(d)
+        taken = np.zeros(out_data.shape, dtype=bool)
+        for k, c in enumerate(corners):
+            hit = (c == out_data) & ~taken
+            gx[:, :, k // 2::2, k % 2::2] = np.where(hit, g, 0.0)
+            taken |= hit
+        x._accumulate(gx)
 
     return Tensor(out_data, _parents=(x,), _backward=_bw)
 

@@ -74,6 +74,11 @@ def _is_int(v):
     return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
+def _is_finite_number(v):
+    return (isinstance(v, (int, float, np.integer, np.floating))
+            and not isinstance(v, bool) and bool(np.isfinite(v)))
+
+
 # vehicle types: (length, width, height) in meters
 _VEHICLE_SIZES = {"sedan": (4.5, 1.8, 1.5), "truck": (8.0, 2.5, 2.9)}
 
@@ -108,8 +113,25 @@ class Scenario:
                 _is_int(self.min_paths) and 1 <= self.min_paths <= self.max_paths):
             raise ValueError(f"min_paths must be an integer in [1, max_paths], "
                              f"not {self.min_paths!r}")
-        if self.n_subcarriers < 2:
-            raise ValueError("need at least two subcarriers")
+        if not (_is_int(self.n_subcarriers) and self.n_subcarriers >= 2):
+            raise ValueError(f"n_subcarriers must be an integer >= 2, not "
+                             f"{self.n_subcarriers!r}")
+        if not (len(self.bs_position) == 3
+                and all(map(_is_finite_number, self.bs_position))):
+            raise ValueError(f"bs_position must be 3 finite numbers, not "
+                             f"{list(self.bs_position)!r}")
+        for lane in self.lanes:
+            if not (_is_finite_number(lane.density) and lane.density >= 0):
+                raise ValueError(f"lane density must be finite and "
+                                 f"nonnegative, not {lane.density!r}")
+        if not (_is_finite_number(self.reflection_coeff)
+                and self.reflection_coeff >= 0):
+            raise ValueError(f"reflection_coeff must be finite and "
+                             f"nonnegative, not {self.reflection_coeff!r}")
+        if not (self.noise_snr_db is None
+                or _is_finite_number(self.noise_snr_db)):
+            raise ValueError(f"noise_snr_db must be a finite number or null, "
+                             f"not {self.noise_snr_db!r}")
         if not self.carrier_freq > self.bandwidth > 0:
             raise ValueError("require carrier_freq > bandwidth > 0")
 

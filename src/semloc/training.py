@@ -19,7 +19,7 @@ import numpy as np
 from . import features as feat
 from . import losses
 from .dataio import scenario_from_manifest
-from .engine import SGD
+from .engine import SGD, _check_finite, no_grad
 from .models import ArchConfig, Model
 
 METHODS = ("dcnn", "pcp-only", "mda-unweighted", "mda", "hda")
@@ -95,6 +95,14 @@ class TrainConfig:
             raise ValueError(f"unknown fingerprint {self.fingerprint!r}")
         if self.normalization not in feat.NORM_SCHEMES:
             raise ValueError(f"unknown normalization {self.normalization!r}")
+        for name in ("conv_channels", "mlp_widths"):  # None -> the default
+            v = getattr(self, name)
+            if v is not None and not (
+                    isinstance(v, (list, tuple)) and v
+                    and all(isinstance(n, (int, np.integer))
+                            and not isinstance(n, bool) and n > 0 for n in v)):
+                raise ValueError(f"{name} must be a non-empty list of positive "
+                                 f"integers, not {v!r}")
         optional = ("lambda1", "lambda2")  # None -> the method's default
         for name in optional + ("lambda3_max", "lambda4", "gamma",
                                 "optimizer_weight_decay"):
@@ -297,11 +305,15 @@ def train(dataset, split, cfg):
 # ----------------------------------------------------------------------
 
 def evaluate_arrays(model, domain, batch_size=256):
-    """Eval-mode metrics on one prepared domain."""
+    """Eval-mode metrics on one prepared domain.  The forward builds no
+    graph; its coordinates and class probabilities must be finite."""
     n = len(domain.inputs)
     preds, classes = [], []
     for lo in range(0, n, batch_size):
-        out = model.forward(domain.inputs[lo:lo + batch_size], train=False)
+        with no_grad():
+            out = model.forward(domain.inputs[lo:lo + batch_size], train=False)
+        _check_finite(out.coords.data, "predicted coordinates")
+        _check_finite(out.probs.data, "class probabilities")
         preds.append(out.coords.data)
         classes.append(out.probs.data.argmax(axis=1))
     pred = np.concatenate(preds)

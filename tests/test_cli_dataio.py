@@ -103,7 +103,15 @@ def test_cli_usage_errors_exit_2(tmp_path, capsys):
                        ("minp.json", json.dumps({**desk, "min_paths": 9,
                                                  "max_paths": 4})),
                        ("maxp.json", json.dumps({**desk, "max_paths": 0})),
-                       ("grid.json", json.dumps({**desk, "ue_grid": [[0, 1]]}))):
+                       ("grid.json", json.dumps({**desk, "ue_grid": [[0, 1]]})),
+                       ("bs.json", json.dumps({**desk, "bs_position": [0, 0]})),
+                       ("density.json", json.dumps(
+                           {**desk, "lanes": [{**desk["lanes"][0],
+                                               "density": -1}]})),
+                       ("refl.json", json.dumps({**desk,
+                                                 "reflection_coeff": np.nan})),
+                       ("snr.json", json.dumps({**desk, "noise_snr_db": "x"})),
+                       ("nsub.json", json.dumps({**desk, "n_subcarriers": 8.5}))):
         (tmp_path / name).write_text(text)
     for argv in (["gen", "--scenes", "0", "--out", str(out)],
                  ["gen", "--scenario", str(tmp_path / "nope.json"),
@@ -118,8 +126,9 @@ def test_cli_usage_errors_exit_2(tmp_path, capsys):
                   "--out", str(out)],
                  ["gen", "--scenario", str(tmp_path / "maxp.json"),
                   "--out", str(out)],
-                 ["gen", "--scenario", str(tmp_path / "grid.json"),
-                  "--out", str(out)],
+                 *(["gen", "--scenario", str(tmp_path / name), "--out", str(out)]
+                   for name in ("grid.json", "bs.json", "density.json",
+                                "refl.json", "snr.json", "nsub.json")),
                  ["gen", "--seed", "-1", "--out", str(out)],
                  ["describe", "--input-shape", "1", "16", "24"],
                  ["describe", "--input-shape", "1", "8", "16"]):
@@ -175,6 +184,9 @@ def save_untrained_run(dataset, tmp_path):
         "arch": model.arch.to_dict(), "train_config": cfg.to_dict(),
         "best_epoch": 0, "best_val_score": 0.0})
     return ds_dir, ckpt
+
+
+SPLIT_4 = '{"source": [0, 2], "val": [2, 3], "target": [3, 4]}'
 
 
 def assert_one_error_line(capsys, prefix="semloc: "):
@@ -297,7 +309,9 @@ def test_cli_bad_config_exits_2(dataset, tmp_path, capsys, monkeypatch):
                  '{"lambda3_max": -1}', '{"lambda4": NaN}', '{"lr": NaN}',
                  '{"lr": 0}', '{"momentum": 1}',
                  '{"optimizer_weight_decay": -1}', '{"batch_size": 8.5}',
-                 '{"epochs": true}', '{"seed": -1}'):
+                 '{"epochs": true}', '{"seed": -1}', '{"conv_channels": [-1]}',
+                 '{"conv_channels": "ab"}', '{"conv_channels": []}',
+                 '{"mlp_widths": [0]}'):
         bad.write_text(text)
         for argv in (["train", "--data", ds_dir, "--out", str(run)],
                      ["describe"], ["ablate", "--data", ds_dir]):
@@ -334,6 +348,68 @@ def test_cli_train_on_an_empty_split_exits_2(dataset, tmp_path, capsys):
     assert cli.main(["eval", "--ckpt", ckpt, "--data", ds_dir,
                      "--split", "val"]) == 2
     assert_one_error_line(capsys)
+
+
+def test_cli_eval_of_a_non_finite_checkpoint_exits_3(dataset, tmp_path,
+                                                     capsys):
+    ds_dir, ckpt = save_untrained_run(dataset, tmp_path)
+    state, manifest = dataio.load_checkpoint(ckpt)
+    state = {k: v.copy() for k, v in state.items()}
+    state["theta2.lin1.w"][0, 0] = np.nan
+    dataio.save_checkpoint(ckpt, state, manifest)
+    assert cli.main(["eval", "--ckpt", ckpt, "--data", ds_dir,
+                     "--split-json", SPLIT_4]) == 3
+    assert_one_error_line(capsys, "aborted on non-finite value: ")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_cli_diverging_train_exits_3(dataset, tmp_path, capsys):
+    ds_dir, _ = save_untrained_run(dataset, tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"lr": 1e10, "epochs": 2, "batch_size": 8,
+                               "conv_channels": [2, 4], "mlp_widths": [16]}))
+    assert cli.main(["train", "--data", ds_dir, "--config", str(cfg),
+                     "--split-json", SPLIT_4,
+                     "--out", str(tmp_path / "run")]) == 3
+    assert "aborted on non-finite value: " in capsys.readouterr().err
+
+
+def test_writes_leave_no_truncated_file(dataset, tmp_path, monkeypatch):
+    # a write that fails partway (here: a disk that fills after 100 bytes)
+    # leaves neither a truncated target nor its temporary file
+    real_open = open
+
+    class FullDisk:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            self.fh.write(data[:100])
+            raise OSError(28, "No space left on device")
+
+    def failing_open(path, mode="r", *args, **kwargs):
+        fh = real_open(path, mode, *args, **kwargs)
+        return FullDisk(fh) if "w" in mode else fh
+
+    new, kept = tmp_path / "new", tmp_path / "kept"
+    dataio.save_dataset(dataset, kept)  # complete files a failed write keeps
+    before = {p.name: p.read_bytes() for p in kept.iterdir()}
+    monkeypatch.setattr(dataio, "open", failing_open, raising=False)
+    writes = (lambda: dataio.save_dataset(dataset, new),
+              lambda: dataio.save_dataset(dataset, kept),
+              lambda: dataio.save_checkpoint(new, {"w": np.ones(40)}, {}),
+              lambda: dataio.write_json(new / "m.json", {"k": "v" * 200}))
+    for write in writes:
+        with pytest.raises(OSError):
+            write()
+    assert list(new.iterdir()) == []
+    assert {p.name: p.read_bytes() for p in kept.iterdir()} == before
 
 
 def test_cli_gen_is_deterministic(tmp_path):

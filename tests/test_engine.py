@@ -2,8 +2,12 @@
 
 Forward values are compared against independent numpy oracles (nested-loop
 convolution, hand unrolled optimizer steps); gradients are compared against
-central finite differences through `engine.grad_check`.
+central finite differences through `engine.grad_check`.  The strided-slice
+max-pool and the im2col conv forward must match the kernels they replaced
+(kept here as oracles) byte for byte.
 """
+
+import functools
 
 import numpy as np
 import pytest
@@ -234,6 +238,123 @@ def test_non_finite_input_rejected():
     a = Tensor(np.array([1e308]), requires_grad=True)
     with pytest.raises(NonFinite):
         (E.exp(a)).sum().backward()
+
+
+def test_graph_records_only_parents_that_need_a_gradient():
+    x = Tensor(RNG.normal(size=(2, 1, 4, 4)))  # raw data
+    w = Tensor(RNG.normal(size=(3, 1, 3, 3)), requires_grad=True)
+    out = E.conv2d(x, w)
+    assert out._parents == (w,)
+    (out * 2.0).sum().backward()
+    assert x.grad is None and w.grad is not None
+    c = E.constant(np.ones(3))
+    assert (c * 2.0).requires_grad is False and (c * 2.0)._parents == ()
+
+
+def test_no_grad_builds_no_graph_and_restores_recording():
+    w = Tensor(RNG.normal(size=(3, 2)), requires_grad=True)
+    x = RNG.normal(size=(4, 3))
+    with E.no_grad():
+        out = E.softmax(E.matmul(Tensor(x), w))
+    assert out.requires_grad is False and out._parents == ()
+    assert out._backward is None
+    with pytest.raises(RuntimeError):
+        with E.no_grad():
+            raise RuntimeError("inside no_grad")
+    out = E.matmul(Tensor(x), w)
+    assert out.requires_grad and out._parents == (w,)
+    out.sum().backward()
+    np.testing.assert_array_equal(w.grad, x.T @ np.ones((4, 2)))
+
+
+# ----------------------------------------------------------------------
+# fast kernels against the kernels they replaced, byte for byte
+# ----------------------------------------------------------------------
+
+def max_pool2d_argmax(x, ties_to_last=False):
+    """The argmax pool over a transposed copy that the strided-slice pool
+    replaced; each window's gradient goes to its first maximum, or, in the
+    mutant `ties_to_last` that the byte test must catch, to its last."""
+    B, C, H, W = x.shape
+    xr = x.data.reshape(B, C, H // 2, 2, W // 2, 2)
+    xr = xr.transpose(0, 1, 2, 4, 3, 5).reshape(B, C, H // 2, W // 2, 4)
+    idx = 3 - xr[..., ::-1].argmax(axis=-1) if ties_to_last \
+        else xr.argmax(axis=-1)
+    out_data = np.take_along_axis(xr, idx[..., None], axis=-1)[..., 0]
+
+    def _bw(g):
+        g4 = np.zeros((B, C, H // 2, W // 2, 4))
+        np.put_along_axis(g4, idx[..., None], g[..., None], axis=-1)
+        gx = g4.reshape(B, C, H // 2, W // 2, 2, 2).transpose(0, 1, 2, 4, 3, 5)
+        x._accumulate(gx.reshape(B, C, H, W))
+
+    return Tensor(out_data, _parents=(x,), _backward=_bw)
+
+
+def conv2d_tensordot(x, w):
+    """The sliding-window tensordot forward that the im2col forward
+    replaced."""
+    xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
+    win = np.lib.stride_tricks.sliding_window_view(xp, (3, 3), axis=(2, 3))
+    out = np.tensordot(win, w, axes=([1, 4, 5], [1, 2, 3]))
+    return np.ascontiguousarray(out.transpose(0, 3, 1, 2))
+
+
+def _pool_bytes(pool, x, g):
+    """Forward and input-gradient bytes of `pool` at x, upstream gradient g."""
+    t = Tensor(x, requires_grad=True)
+    out = pool(t)
+    (out * E.constant(g)).sum().backward()
+    return out.data.tobytes(), t.grad.tobytes()
+
+
+def _pool_cases():
+    # -0.0 is left out: a pool input is batch-norm output, never -0.0, and
+    # np.maximum need not keep the first of a +0.0/-0.0 tie as argmax does
+    rng = np.random.default_rng(11)
+    shape = (3, 4, 8, 16)
+    g = rng.normal(size=(3, 4, 4, 8))
+    return {"normal": (rng.normal(size=shape), g),
+            "integer ties": (rng.integers(-2, 3, size=shape).astype(float), g),
+            "all zero": (np.zeros(shape), g)}
+
+
+def _pool_mismatches(pool):
+    return [name for name, (x, g) in _pool_cases().items()
+            if _pool_bytes(pool, x, g) != _pool_bytes(max_pool2d_argmax, x, g)]
+
+
+def test_max_pool2d_is_byte_equal_to_argmax_pool():
+    assert _pool_mismatches(E.max_pool2d) == []
+
+
+def test_pool_oracle_catches_ties_routed_to_last_maximum():
+    mutant = functools.partial(max_pool2d_argmax, ties_to_last=True)
+    assert _pool_mismatches(mutant) == ["integer ties", "all zero"]
+
+
+def _conv_shapes(channels, input_shape, batch):
+    c, h, w = input_shape
+    for f in channels:
+        yield (batch, c, h, w), (f, c, 3, 3)
+        c, h, w = f, h // 2, w // 2
+
+
+# every conv of the gate architecture [4, 8, 8, 16] and of the default
+# architecture [16, 32, 32, 64] on 1x16x32 fingerprints, at the training
+# batch (64) and the eval batch (256)
+CONV_SHAPES = [s for batch in (64, 256)
+               for channels in ([4, 8, 8, 16], [16, 32, 32, 64])
+               for s in _conv_shapes(channels, (1, 16, 32), batch)]
+
+
+@pytest.mark.parametrize("x_shape,w_shape", CONV_SHAPES)
+def test_conv2d_forward_is_byte_equal_to_tensordot(x_shape, w_shape):
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=x_shape)
+    w = rng.normal(size=w_shape) * 0.3
+    got = E.conv2d(Tensor(x), Tensor(w)).data
+    assert got.tobytes() == conv2d_tensordot(x, w).tobytes()
 
 
 # ----------------------------------------------------------------------

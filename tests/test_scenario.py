@@ -10,7 +10,7 @@ import pytest
 
 from semloc import scenario as S
 from semloc.scenario import (DNLOS, LOS, SNLOS, SPEED_OF_LIGHT, ArrayGeometry,
-                             Box, EmptyLink, MpcSet, Scenario, Scene,
+                             Box, EmptyLink, Lane, MpcSet, Scenario, Scene,
                              desk_scenario, generate_dataset, make_scene,
                              segments_hit_boxes, steering_vector, synth_cfr,
                              trace_paths)
@@ -445,10 +445,20 @@ def test_scenario_validation():
     for bad in (dict(max_paths=0), dict(max_paths=2.5),
                 dict(min_paths=0), dict(min_paths=9, max_paths=4),
                 dict(ue_grid=np.zeros((3, 2))), dict(ue_grid=np.zeros((0, 3))),
-                dict(ue_grid=np.zeros(3))):
+                dict(ue_grid=np.zeros(3)), dict(bs_position=(0.0, 0.0)),
+                dict(bs_position=(0.0, np.inf, 5.0)),
+                dict(bs_position=(0.0, True, 5.0)),
+                dict(lanes=[Lane(0.0, -10.0, 10.0, density=-1.0)]),
+                dict(lanes=[Lane(0.0, -10.0, 10.0, density=np.nan)]),
+                dict(reflection_coeff=np.nan), dict(reflection_coeff=-0.5),
+                dict(noise_snr_db="x"), dict(noise_snr_db=np.inf),
+                dict(n_subcarriers=8.5), dict(n_subcarriers=1)):
         with pytest.raises(ValueError):
             _tiny_scenario(**bad)
     _tiny_scenario(min_paths=4, max_paths=4)
+    _tiny_scenario(bs_position=(np.float64(1.0), 0, 5.0), noise_snr_db=10,
+                   lanes=[Lane(0.0, -10.0, 10.0, density=0.0)],
+                   reflection_coeff=0.0, n_subcarriers=np.int64(8))
 
 
 def test_scenario_json_round_trip(tmp_path):

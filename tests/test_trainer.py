@@ -157,6 +157,14 @@ def test_config_validation():
                 dict(seed=-1)):
         with pytest.raises(ValueError):
             TrainConfig(**bad)
+    # architecture lists: non-empty, positive integers
+    for bad in (dict(conv_channels=[-1]), dict(conv_channels="ab"),
+                dict(conv_channels=[]), dict(mlp_widths=[0]),
+                dict(mlp_widths=[16, True]), dict(conv_channels=[2.0]),
+                dict(mlp_widths=16)):
+        with pytest.raises(ValueError):
+            TrainConfig(**bad)
+    TrainConfig(conv_channels=[np.int64(2), 4], mlp_widths=(16,))
     TrainConfig(momentum=0.0, batch_size=np.int64(8), seed=np.int64(3))
     TrainConfig(method="hda", lambda3_max=0.0, lambda4=0.0, gamma=0.0)
 
@@ -196,6 +204,44 @@ def test_metrics_rmse_oracle():
     assert m.accuracy == 1.0
     assert m.quantiles[0.5] == 5.0
     np.testing.assert_allclose(m.errors, 5.0)
+
+
+def _eval_setup(small_dataset):
+    cfg = small_cfg()
+    split = SplitPlan.default(12)
+    domain = training.prepare_domain(small_dataset, split.target_scenes, cfg)
+    model = Model(training.arch_for(cfg, domain.inputs.shape[1:]), seed=0)
+    return model, domain
+
+
+def test_evaluate_arrays_builds_no_graph(small_dataset, monkeypatch):
+    model, domain = _eval_setup(small_dataset)
+    outputs, forward = [], Model.forward
+    monkeypatch.setattr(Model, "forward",
+                        lambda *a, **k: outputs.append(forward(*a, **k))
+                        or outputs[-1])
+    training.evaluate_arrays(model, domain, batch_size=16)
+    assert len(outputs) == -(-len(domain.inputs) // 16)
+    for out in outputs:
+        for t in (out.features, out.coords, out.logits, out.probs):
+            assert t.requires_grad is False and t._parents == ()
+            assert t._backward is None
+    # recording is back on after eval: a training forward builds a graph
+    out = model.forward(domain.inputs[:4], train=True)
+    assert out.coords.requires_grad and out.coords._parents
+
+
+def test_evaluate_arrays_rejects_non_finite_outputs(small_dataset):
+    from semloc.engine import NonFinite
+
+    model, domain = _eval_setup(small_dataset)
+    for name in ("theta2.lin1.w", "theta3.lin1.b"):
+        saved = model.params[name].data.copy()
+        model.params[name].data[0] = np.nan
+        with pytest.raises(NonFinite, match="coordinates|probabilities"):
+            training.evaluate_arrays(model, domain)
+        model.params[name].data = saved
+    training.evaluate_arrays(model, domain)
 
 
 # ----------------------------------------------------------------------
