@@ -108,8 +108,8 @@ def cmd_train(args):
     split = _split_from(ds, args)
     training.require_links(ds, split)
     with dataio.DirectoryLock(args.out):
-        _echo_config(args.out, cfg.to_dict())
         result = training.train(ds, split, cfg)
+        _echo_config(args.out, cfg.to_dict())
         dataio.write_file(os.path.join(args.out, "train_log.csv"),
                           result.log_csv)
         manifest = {"arch": result.model.arch.to_dict(),
@@ -162,8 +162,7 @@ def gradcheck_error(method, seed=0):
     """Max relative gradient error of the full objective on a tiny network
     and a 4-sample batch, against 64-bit central differences."""
     rng = np.random.default_rng(seed)
-    arch = ArchConfig(conv_channels=[2, 2, 3, 3],
-                      mlp_widths_reg=[8, 6, 3], mlp_widths_cls=[8, 6, 3],
+    arch = ArchConfig(conv_channels=[2, 2, 3, 3], mlp_widths=[8, 6],
                       input_shape=(1, 16, 16))
     model = Model(arch, seed=seed)
     cfg = TrainConfig(method=method)
@@ -189,6 +188,8 @@ def gradcheck_error(method, seed=0):
 
 
 def cmd_gradcheck(args):
+    if args.seed < 0:
+        raise UsageError("--seed: must be nonnegative")
     err = gradcheck_error(args.method, args.seed)
     print(f"{args.method} max relative gradient error: {err:.3e}")
     return EXIT_OK if err < 1e-4 else 1
@@ -206,9 +207,11 @@ def cmd_ablate(args):
         except (KeyError, TypeError) as exc:
             raise UsageError(f"--grid: rows need a name and overrides "
                              f"({type(exc).__name__}: {exc})") from None
-    # every row is checked before the first one trains
+    # every row and seed is checked before the first run trains
     for name, overrides in grid:
         _train_config(f"--grid row {name!r}", base.to_dict(), overrides)
+    for seed in args.seeds:
+        _train_config("--seeds", base.to_dict(), {"seed": seed})
     rows = training.run_ablation(ds, split, base, grid=grid,
                                  seeds=tuple(args.seeds))
     csv = training.ablation_csv(rows)
@@ -220,7 +223,7 @@ def cmd_ablate(args):
 
 def cmd_describe(args):
     cfg = _train_config("--config", _load_json(args.config, "--config"))
-    shape = tuple(args.input_shape or (1, 64, 64))
+    shape = args.input_shape or ArchConfig.input_shape
     try:
         arch = training.arch_for(cfg, shape)
     except ValueError as exc:
@@ -325,13 +328,16 @@ def main(argv=None):
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        return args.fn(args)
+        # numpy's floating-point warnings are off: a non-finite value that
+        # matters reaches a finiteness check and aborts with one line
+        with np.errstate(all="ignore"):
+            return args.fn(args)
     except (UsageError, training.EmptySplit, dataio.InputError) as exc:
         print(f"semloc: {exc}", file=sys.stderr)
         return (EXIT_INPUT if isinstance(exc, dataio.InputError)
                 else EXIT_USAGE)
     except NonFinite as exc:
-        print(f"aborted on non-finite value: {exc}", file=sys.stderr)
+        print(f"semloc: aborted on non-finite value: {exc}", file=sys.stderr)
         return EXIT_NONFINITE
 
 

@@ -98,12 +98,21 @@ def load_dataset(in_dir):
     manifest = _read_manifest(in_dir, ("cfr_shape", "scene_of_sample",
                                        "grid_of_sample", "n_scenes",
                                        "scenario"))
+    path = os.path.join(in_dir, "manifest.json")
+    try:
+        scenario = scenario_from_manifest(manifest)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputError(f"{path}: scenario: {type(exc).__name__}: {exc}") \
+            from None
     n, m, k = manifest["cfr_shape"]
+    if [m, k] != [scenario.array.size, scenario.n_subcarriers]:
+        raise InputError(f"{path}: cfr_shape {[n, m, k]} does not fit the "
+                         f"scenario's {scenario.array} and "
+                         f"{scenario.n_subcarriers} subcarriers")
     for key in ("scene_of_sample", "grid_of_sample"):
         if len(manifest[key]) != n:
-            raise InputError(f"{os.path.join(in_dir, 'manifest.json')}: "
-                             f"{key} has {len(manifest[key])} entries, "
-                             f"cfr_shape implies {n}")
+            raise InputError(f"{path}: {key} has {len(manifest[key])} "
+                             f"entries, cfr_shape implies {n}")
     cfr = _read_array(in_dir, "cfr.bin", "<f4", 2 * n * m * k)
     cfr = cfr.view("<c8").reshape(n, m, k).astype(np.complex128)
     coords = _read_array(in_dir, "coords.bin", "<f4", 3 * n)

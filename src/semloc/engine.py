@@ -518,21 +518,20 @@ def batch_norm(x, gamma, beta, running_mean, running_var, *, training):
 # ----------------------------------------------------------------------
 
 class SGD:
-    """SGD with classical momentum and L2 weight decay as a gradient term.
+    """SGD with classical momentum (the L2 penalty is the objective's WR term).
 
-    v <- momentum * v + grad + weight_decay * p ;  p <- p - lr * v
+    v <- momentum * v + grad ;  p <- p - lr * v
 
     0-d parameters (the hda log-variances) take plain gradient steps:
     momentum would scale their effective step by ~1/(1-momentum) and
     overshoot badly.
     """
 
-    def __init__(self, params, lr=1e-3, momentum=0.99, weight_decay=1e-4):
+    def __init__(self, params, lr=1e-3, momentum=0.99):
         # params: dict name -> Tensor
         self.params = dict(params)
         self.lr = float(lr)
         self.momentum = float(momentum)
-        self.weight_decay = float(weight_decay)
         self.velocity = {k: np.zeros_like(p.data) for k, p in self.params.items()}
 
     def zero_grad(self):
@@ -545,7 +544,7 @@ class SGD:
             _check_finite(g, f"gradient of {name}")
             v = self.velocity[name]
             v *= self.momentum if p.data.ndim else 0.0
-            v += g + self.weight_decay * p.data
+            v += g
             p.data -= self.lr * v
             _check_finite(p.data, f"parameter {name}")
 

@@ -12,29 +12,29 @@ a sigmoid on the logit difference, so softmax is used throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import engine
 from .engine import ShapeMismatch, Tensor
+from .scenario import LABEL_NAMES, _is_int
 
 
 @dataclass
 class ArchConfig:
+    """Conv channels, the hidden MLP widths both heads share, and the input
+    (C, H, W); `Model` appends each head's fixed output width."""
+
     conv_channels: list = field(default_factory=lambda: [16, 32, 32, 64])
-    mlp_widths_reg: list = field(default_factory=lambda: [256, 128, 3])
-    mlp_widths_cls: list = field(default_factory=lambda: [256, 128, 3])
-    n_classes: int = 3
-    input_kind: str = "adp"
+    mlp_widths: list = field(default_factory=lambda: [256, 128])
     input_shape: tuple = (1, 64, 64)  # (channels, H, W)
 
     def __post_init__(self):
-        if self.mlp_widths_reg[-1] != 3:
-            raise ValueError("regressor must end in width 3")
-        if self.n_classes < 2:
-            raise ValueError("need at least two classes")
-        self.mlp_widths_cls = list(self.mlp_widths_cls[:-1]) + [self.n_classes]
+        if not (len(self.input_shape) == 3
+                and all(_is_int(n) and n > 0 for n in self.input_shape)):
+            raise ValueError(f"input shape must be 3 positive integers, not "
+                             f"{list(self.input_shape)!r}")
         c, h, w = self.input_shape
         down = 2 ** len(self.conv_channels)
         if h % down or w % down:
@@ -48,18 +48,18 @@ class ArchConfig:
         return self.conv_channels[-1] * (h // down) * (w // down)
 
     def to_dict(self):
-        return {"conv_channels": list(self.conv_channels),
-                "mlp_widths_reg": list(self.mlp_widths_reg),
-                "mlp_widths_cls": list(self.mlp_widths_cls),
-                "n_classes": self.n_classes,
-                "input_kind": self.input_kind,
-                "input_shape": list(self.input_shape)}
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d):
-        d = dict(d)
-        d["input_shape"] = tuple(d["input_shape"])
-        return cls(**d)
+        """The arch `to_dict` wrote, or the older layout that stored each
+        head's widths with the output width appended (`mlp_widths_reg`,
+        `mlp_widths_cls`, plus `n_classes` and `input_kind`)."""
+        mlp = (d["mlp_widths"] if "mlp_widths" in d
+               else d["mlp_widths_reg"][:-1])
+        return cls(conv_channels=list(d["conv_channels"]),
+                   mlp_widths=list(mlp),
+                   input_shape=tuple(d["input_shape"]))
 
 
 @dataclass
@@ -89,8 +89,11 @@ class Model:
             self._add_conv(rng, f"theta1.conv{i}", c_in, c_out)
             c_in = c_out
 
-        self._add_mlp(rng, "theta2", arch.feature_dim(), arch.mlp_widths_reg)
-        self._add_mlp(rng, "theta3", arch.feature_dim(), arch.mlp_widths_cls)
+        # the regressor ends in x, y, z; the classifier in one logit per class
+        self.heads = {"theta2": [*arch.mlp_widths, 3],
+                      "theta3": [*arch.mlp_widths, len(LABEL_NAMES)]}
+        for prefix, widths in self.heads.items():
+            self._add_mlp(rng, prefix, arch.feature_dim(), widths)
 
     def _add_conv(self, rng, name, c_in, c_out):
         fan = 9 * c_in, 9 * c_out
@@ -127,11 +130,12 @@ class Model:
             self.running[f"{name}.bn.mean"], self.running[f"{name}.bn.var"],
             training=train)
 
-    def _mlp(self, x, prefix, widths, train):
-        for i in range(len(widths)):
+    def _mlp(self, x, prefix, train):
+        n = len(self.heads[prefix])
+        for i in range(n):
             name = f"{prefix}.lin{i}"
             x = engine.matmul(x, self.params[f"{name}.w"])
-            if i < len(widths) - 1:
+            if i < n - 1:
                 x = engine.relu(self._bn(x, name, train))
             else:
                 x = x + self.params[f"{name}.b"]
@@ -153,8 +157,8 @@ class Model:
 
     def forward(self, x, train=False):
         omega = self.extract(x, train)
-        coords = self._mlp(omega, "theta2", self.arch.mlp_widths_reg, train)
-        logits = self._mlp(omega, "theta3", self.arch.mlp_widths_cls, train)
+        coords = self._mlp(omega, "theta2", train)
+        logits = self._mlp(omega, "theta3", train)
         return ModelOutputs(features=omega, coords=coords, logits=logits,
                             probs=engine.softmax(logits))
 
@@ -184,8 +188,7 @@ class Model:
                          f"pool -> [{c_out},{h},{w}], relu")
             c_in = c_out
         lines.append(f"flatten -> features [{self.arch.feature_dim()}]")
-        for prefix, widths in (("theta2", self.arch.mlp_widths_reg),
-                               ("theta3", self.arch.mlp_widths_cls)):
+        for prefix, widths in self.heads.items():
             d = self.arch.feature_dim()
             for i, width in enumerate(widths):
                 act = "" if i == len(widths) - 1 else ", bn, relu"

@@ -15,7 +15,7 @@ building (SNLOS).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -31,6 +31,34 @@ class EmptyLink(Exception):
     """No propagation path survives between BS and UE (full blockage)."""
 
 
+def _is_int(v):
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
+def _is_finite_number(v):
+    return (isinstance(v, (int, float, np.integer, np.floating))
+            and not isinstance(v, bool) and bool(np.isfinite(v)))
+
+
+def _fields_of(cls, d, what, optional=None):
+    """The JSON object `d` as keyword arguments of dataclass `cls`: it holds
+    every field but those in `optional` (default: the fields with a
+    default) and no other key."""
+    if not isinstance(d, dict):
+        raise TypeError(f"{what} must be a JSON object, not "
+                        f"{type(d).__name__}")
+    if optional is None:
+        optional = [f.name for f in fields(cls) if f.default is not MISSING
+                    or f.default_factory is not MISSING]
+    names = [f.name for f in fields(cls)]
+    problems = [f"unknown key {k!r}" for k in sorted(set(d) - set(names))]
+    problems += [f"missing key {n!r}" for n in names
+                 if n not in d and n not in optional]
+    if problems:
+        raise ValueError(f"{what}: {', '.join(problems)}")
+    return dict(d)
+
+
 @dataclass(frozen=True)
 class ArrayGeometry:
     """Uniform planar array; elements indexed (iy, iz), flattened iy-major."""
@@ -40,8 +68,10 @@ class ArrayGeometry:
     spacing: float = 0.5  # in wavelengths
 
     def __post_init__(self):
-        if self.m_y < 1 or self.m_z < 1:
-            raise ValueError("array needs at least one element per axis")
+        if not (all(_is_int(n) and n >= 1 for n in (self.m_y, self.m_z))
+                and _is_finite_number(self.spacing) and self.spacing > 0):
+            raise ValueError(f"an array needs integer m_y, m_z >= 1 and a "
+                             f"finite spacing > 0, not {self}")
 
     @property
     def size(self):
@@ -55,9 +85,6 @@ class Box:
     lo: tuple
     hi: tuple
 
-    def as_arrays(self):
-        return np.asarray(self.lo, float), np.asarray(self.hi, float)
-
 
 @dataclass(frozen=True)
 class Lane:
@@ -70,14 +97,9 @@ class Lane:
     truck_fraction: float = 0.35
 
 
-def _is_int(v):
-    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
-
-
-def _is_finite_number(v):
-    return (isinstance(v, (int, float, np.integer, np.floating))
-            and not isinstance(v, bool) and bool(np.isfinite(v)))
-
+# the Scenario keys a file may lack; every other field is required
+_OPTIONAL_KEYS = ("min_paths", "reflection_coeff", "traffic_drift",
+                  "noise_snr_db")
 
 # vehicle types: (length, width, height) in meters
 _VEHICLE_SIZES = {"sedan": (4.5, 1.8, 1.5), "truck": (8.0, 2.5, 2.9)}
@@ -121,9 +143,11 @@ class Scenario:
             raise ValueError(f"bs_position must be 3 finite numbers, not "
                              f"{list(self.bs_position)!r}")
         for lane in self.lanes:
-            if not (_is_finite_number(lane.density) and lane.density >= 0):
-                raise ValueError(f"lane density must be finite and "
-                                 f"nonnegative, not {lane.density!r}")
+            if not (_is_finite_number(lane.density) and lane.density >= 0
+                    and all(map(_is_finite_number, (lane.x_min, lane.x_max)))
+                    and lane.x_min <= lane.x_max):
+                raise ValueError(f"a lane needs a finite density >= 0 and "
+                                 f"finite x_min <= x_max, not {lane}")
         if not (_is_finite_number(self.reflection_coeff)
                 and self.reflection_coeff >= 0):
             raise ValueError(f"reflection_coeff must be finite and "
@@ -145,44 +169,23 @@ class Scenario:
 
     # -- JSON round trip -------------------------------------------------
     def to_dict(self):
-        return {
-            "bs_position": list(self.bs_position),
-            "array": {"m_y": self.array.m_y, "m_z": self.array.m_z,
-                      "spacing": self.array.spacing},
-            "carrier_freq": self.carrier_freq,
-            "bandwidth": self.bandwidth,
-            "n_subcarriers": self.n_subcarriers,
-            "ue_grid": self.ue_grid.tolist(),
-            "grid_spacing": self.grid_spacing,
-            "buildings": [{"lo": list(b.lo), "hi": list(b.hi)} for b in self.buildings],
-            "lanes": [{"y_center": l.y_center, "x_min": l.x_min, "x_max": l.x_max,
-                       "density": l.density, "truck_fraction": l.truck_fraction}
-                      for l in self.lanes],
-            "max_paths": self.max_paths,
-            "min_paths": self.min_paths,
-            "reflection_coeff": self.reflection_coeff,
-            "traffic_drift": self.traffic_drift,
-            "noise_snr_db": self.noise_snr_db,
-        }
+        return {**asdict(self), "ue_grid": self.ue_grid.tolist()}
 
     @classmethod
     def from_dict(cls, d):
-        return cls(
-            bs_position=tuple(d["bs_position"]),
-            array=ArrayGeometry(**d["array"]),
-            carrier_freq=d["carrier_freq"],
-            bandwidth=d["bandwidth"],
-            n_subcarriers=d["n_subcarriers"],
-            ue_grid=np.asarray(d["ue_grid"], float),
-            grid_spacing=d["grid_spacing"],
-            buildings=[Box(tuple(b["lo"]), tuple(b["hi"])) for b in d["buildings"]],
-            lanes=[Lane(**l) for l in d["lanes"]],
-            max_paths=d["max_paths"],
-            min_paths=d.get("min_paths"),
-            reflection_coeff=d.get("reflection_coeff", 0.6),
-            traffic_drift=d.get("traffic_drift", 0.0),
-            noise_snr_db=d.get("noise_snr_db"),
-        )
+        """The scenario `to_dict` wrote.  An unknown key is an error; only
+        the keys older files may lack (`_OPTIONAL_KEYS`) take the field's
+        default."""
+        kw = _fields_of(cls, d, "scenario", _OPTIONAL_KEYS)
+        kw["bs_position"] = tuple(kw["bs_position"])
+        kw["array"] = ArrayGeometry(**_fields_of(ArrayGeometry, kw["array"],
+                                                 "array"))
+        kw["buildings"] = [
+            Box(**{k: tuple(v) for k, v in _fields_of(Box, b, "building")
+                   .items()}) for b in kw["buildings"]]
+        kw["lanes"] = [Lane(**_fields_of(Lane, l, "lane"))
+                       for l in kw["lanes"]]
+        return cls(**kw)
 
     @classmethod
     def from_json(cls, path):
@@ -230,12 +233,12 @@ def steering_vector(azimuth, elevation, array):
     return np.exp(1j * phase).reshape((array.size,) + azimuth.shape)
 
 
-def synth_cfr(mpcs, scenario, array=None):
+def synth_cfr(mpcs, scenario):
     """Channel matrix H [M, K]: column k = sum_p gain_p a_p exp(-2j pi f_k tau_p)."""
     if len(mpcs) == 0:
         raise EmptyLink("cannot synthesize CFR from an empty path set")
-    array = array if array is not None else scenario.array
-    a_mat = steering_vector(mpcs.azimuths, mpcs.elevations, array)  # [M, P]
+    a_mat = steering_vector(mpcs.azimuths, mpcs.elevations,
+                            scenario.array)  # [M, P]
     freqs = scenario.subcarrier_freqs()
     phases = np.exp(-2j * np.pi * np.outer(mpcs.delays, freqs))  # [P, K]
     return (a_mat * mpcs.gains[None, :]) @ phases
@@ -481,15 +484,16 @@ def rectangular_grid(x_min, x_max, n_x, y_values, z=1.5):
     return np.asarray(pts, float)
 
 
-def desk_scenario(array=None, n_subcarriers=32, grid_points=200,
-                  traffic_drift=3.0, min_paths=None, max_paths=12):
+_BS_POSITION = (-15.0, -7.5, 6.0)  # shared by the desk and full-scale layouts
+
+
+def desk_scenario(grid_points=200, min_paths=None, max_paths=12):
     """Small street canyon sized to train on a single CPU core in minutes.
 
     200 sidewalk grid points, two building rows forming the canyon, a
     mid-street kiosk casting static shadows, four traffic lanes whose
     density drifts upward across scenes (a real source-to-target shift).
     """
-    array = array or ArrayGeometry(4, 4)
     n_x = grid_points // 2
     grid = rectangular_grid(-19.8, 19.8, n_x, y_values=(5.5, 6.5), z=1.5)
     spacing = (19.8 * 2) / (n_x - 1)
@@ -502,29 +506,28 @@ def desk_scenario(array=None, n_subcarriers=32, grid_points=200,
     lanes = [Lane(y_center=yc, x_min=-22.0, x_max=22.0, density=0.05,
                   truck_fraction=0.45) for yc in (-3.0, -1.0, 1.0, 3.0)]
     return Scenario(
-        bs_position=(-15.0, -7.5, 6.0),
-        array=array,
+        bs_position=_BS_POSITION,
+        array=ArrayGeometry(4, 4),
         carrier_freq=3.5e9,
         bandwidth=100e6,
-        n_subcarriers=n_subcarriers,
+        n_subcarriers=32,
         ue_grid=grid,
         grid_spacing=spacing,
         buildings=buildings,
         lanes=lanes,
         max_paths=max_paths,
         min_paths=min_paths,
-        traffic_drift=traffic_drift,
+        traffic_drift=3.0,
     )
 
 
 def full_scale_scenario():
     """Full-size configuration: 8x8 array, 64 subcarriers, 0.8 m grid."""
-    array = ArrayGeometry(8, 8)
     grid = rectangular_grid(-40.0, 40.0, 101, y_values=(5.4, 6.2), z=1.5)
-    sc = desk_scenario(array=array, n_subcarriers=64, max_paths=25)
     return Scenario(
-        bs_position=sc.bs_position, array=array, carrier_freq=3.5e9,
-        bandwidth=100e6, n_subcarriers=64, ue_grid=grid, grid_spacing=0.8,
+        bs_position=_BS_POSITION, array=ArrayGeometry(8, 8),
+        carrier_freq=3.5e9, bandwidth=100e6, n_subcarriers=64,
+        ue_grid=grid, grid_spacing=0.8,
         buildings=[Box((-45, -20, 0), (45, -8, 18)),
                    Box((-45, 8, 0), (45, 20, 18)),
                    Box((2.0, -1.0, 0.0), (8.0, 2.5, 6.0)),

@@ -21,6 +21,7 @@ from . import losses
 from .dataio import scenario_from_manifest
 from .engine import SGD, _check_finite, no_grad
 from .models import ArchConfig, Model
+from .scenario import _is_finite_number, _is_int
 
 METHODS = ("dcnn", "pcp-only", "mda-unweighted", "mda", "hda")
 
@@ -66,7 +67,6 @@ class TrainConfig:
     gamma: float = 2.0
     lr: float = 1e-3
     momentum: float = 0.99
-    optimizer_weight_decay: float = 0.0  # 0 while WR is active (no double reg)
     seed: int = 0
     fingerprint: str = feat.ADP
     normalization: str = feat.AW
@@ -76,17 +76,13 @@ class TrainConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
-        for name in ("batch_size", "epochs", "seed"):
+        # batch norm needs at least two samples a batch
+        for name, least in (("batch_size", 2), ("epochs", 1), ("seed", 0)):
             v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, not {v!r}")
-        if self.batch_size < 2:
-            raise ValueError("batch norm needs batch_size >= 2")
-        if self.epochs < 1:
-            raise ValueError("epochs >= 1")
-        if self.seed < 0:
-            raise ValueError("seed >= 0")
-        if not (np.isfinite(self.lr) and self.lr > 0):
+            if not (_is_int(v) and v >= least):
+                raise ValueError(f"{name} must be an integer >= {least}, "
+                                 f"not {v!r}")
+        if not (_is_finite_number(self.lr) and self.lr > 0):
             raise ValueError(f"lr must be finite and positive, not {self.lr!r}")
         if not 0 <= self.momentum < 1:
             raise ValueError(f"momentum must lie in [0, 1), not "
@@ -99,17 +95,15 @@ class TrainConfig:
             v = getattr(self, name)
             if v is not None and not (
                     isinstance(v, (list, tuple)) and v
-                    and all(isinstance(n, (int, np.integer))
-                            and not isinstance(n, bool) and n > 0 for n in v)):
+                    and all(_is_int(n) and n > 0 for n in v)):
                 raise ValueError(f"{name} must be a non-empty list of positive "
                                  f"integers, not {v!r}")
         optional = ("lambda1", "lambda2")  # None -> the method's default
-        for name in optional + ("lambda3_max", "lambda4", "gamma",
-                                "optimizer_weight_decay"):
+        for name in optional + ("lambda3_max", "lambda4", "gamma"):
             v = getattr(self, name)
             if v is None and name in optional:
                 continue
-            if v is None or not (np.isfinite(v) and v >= 0):
+            if not (_is_finite_number(v) and v >= 0):
                 raise ValueError(f"{name} must be finite and nonnegative, "
                                  f"not {v!r}")
 
@@ -188,15 +182,13 @@ def require_links(ds, split):
             raise EmptySplit(f"empty {which} split: no links in scenes {scenes}")
 
 
-def arch_for(cfg, input_shape, n_classes=3):
-    conv = cfg.conv_channels or [16, 32, 32, 64]
-    mlp = cfg.mlp_widths or [256, 128]
-    return ArchConfig(conv_channels=list(conv),
-                      mlp_widths_reg=list(mlp) + [3],
-                      mlp_widths_cls=list(mlp) + [n_classes],
-                      n_classes=n_classes,
-                      input_kind=cfg.fingerprint,
-                      input_shape=tuple(input_shape))
+def arch_for(cfg, input_shape):
+    """The network `cfg` trains on inputs of `input_shape`; widths it
+    leaves unset take ArchConfig's defaults."""
+    widths = {name: list(getattr(cfg, name))
+              for name in ("conv_channels", "mlp_widths")
+              if getattr(cfg, name) is not None}
+    return ArchConfig(input_shape=tuple(input_shape), **widths)
 
 
 # ----------------------------------------------------------------------
@@ -248,8 +240,7 @@ def train(dataset, split, cfg):
         u = losses.UncertaintyParams()
         params.update(u.as_params())
 
-    opt = SGD(params, lr=cfg.lr, momentum=cfg.momentum,
-              weight_decay=cfg.optimizer_weight_decay)
+    opt = SGD(params, lr=cfg.lr, momentum=cfg.momentum)
     rng = np.random.default_rng([cfg.seed, 101])
 
     n_src = len(source.inputs)

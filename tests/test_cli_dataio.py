@@ -111,7 +111,17 @@ def test_cli_usage_errors_exit_2(tmp_path, capsys):
                        ("refl.json", json.dumps({**desk,
                                                  "reflection_coeff": np.nan})),
                        ("snr.json", json.dumps({**desk, "noise_snr_db": "x"})),
-                       ("nsub.json", json.dumps({**desk, "n_subcarriers": 8.5}))):
+                       ("nsub.json", json.dumps({**desk, "n_subcarriers": 8.5})),
+                       ("xrange.json", json.dumps(
+                           {**desk, "lanes": [{**desk["lanes"][0],
+                                               "x_min": 5.0, "x_max": -5.0}]})),
+                       ("my.json", json.dumps({**desk, "array": {
+                           **desk["array"], "m_y": 2.5}})),
+                       ("mz.json", json.dumps({**desk, "array": {
+                           **desk["array"], "m_z": 0}})),
+                       ("spacing.json", json.dumps({**desk, "array": {
+                           **desk["array"], "spacing": 0.0}})),
+                       ("unknown.json", json.dumps({**desk, "max_path": 4}))):
         (tmp_path / name).write_text(text)
     for argv in (["gen", "--scenes", "0", "--out", str(out)],
                  ["gen", "--scenario", str(tmp_path / "nope.json"),
@@ -128,10 +138,15 @@ def test_cli_usage_errors_exit_2(tmp_path, capsys):
                   "--out", str(out)],
                  *(["gen", "--scenario", str(tmp_path / name), "--out", str(out)]
                    for name in ("grid.json", "bs.json", "density.json",
-                                "refl.json", "snr.json", "nsub.json")),
+                                "refl.json", "snr.json", "nsub.json",
+                                "xrange.json", "my.json", "mz.json",
+                                "spacing.json", "unknown.json")),
                  ["gen", "--seed", "-1", "--out", str(out)],
+                 ["gradcheck", "--seed", "-1"],
                  ["describe", "--input-shape", "1", "16", "24"],
-                 ["describe", "--input-shape", "1", "8", "16"]):
+                 ["describe", "--input-shape", "1", "8", "16"],
+                 ["describe", "--input-shape", "0", "16", "16"],
+                 ["describe", "--input-shape", "1", "-16", "16"]):
         assert cli.main(argv) == 2, argv
         assert_one_error_line(capsys)
         assert not out.exists()
@@ -263,6 +278,20 @@ def test_cli_bad_input_files_exit_4(dataset, tmp_path, capsys):
             assert cli.main(ev) == 4, key
             assert_one_error_line(capsys, "semloc: " + str(tmp_path / name))
         (tmp_path / name / "manifest.json").write_text(text)
+    # a dataset scenario that lacks a key, does not fit cfr_shape (3x4
+    # antennas against 16), or is not an object; train stops before --out
+    ds_manifest = json.loads(manifest)
+    scen = ds_manifest["scenario"]
+    run = tmp_path / "run"
+    for bad in ({k: v for k, v in scen.items() if k != "lanes"},
+                {**scen, "array": {**scen["array"], "m_y": 3}}, "desk"):
+        (tmp_path / "ds" / "manifest.json").write_text(
+            json.dumps({**ds_manifest, "scenario": bad}))
+        for argv in (ev, ["train", "--data", ds_dir, "--out", str(run)]):
+            assert cli.main(argv) == 4, (bad, argv)
+            assert_one_error_line(capsys, "semloc: " + str(tmp_path / "ds"))
+            assert not run.exists()
+    (tmp_path / "ds" / "manifest.json").write_text(manifest)
     (tmp_path / "ckpt" / "manifest.json").write_text(json.dumps(bad_fp))
     assert cli.main(ev) == 4
     assert_one_error_line(capsys, "semloc: " + str(tmp_path / "ckpt"))
@@ -297,6 +326,32 @@ def test_cli_scores_checkpoints_with_stale_train_config_keys(dataset, tmp_path,
     assert capsys.readouterr().out == want
 
 
+def test_cli_scores_checkpoints_with_the_older_arch_layout(dataset, tmp_path,
+                                                          capsys):
+    # checkpoints once stored each head's widths with its output width
+    # appended, plus n_classes and input_kind, and an optimizer_weight_decay
+    # in train_config; they still score, with the same output
+    ds_dir, ckpt = save_untrained_run(dataset, tmp_path)
+    runs = (["eval", "--ckpt", ckpt, "--data", ds_dir],
+            ["report", "--run", ckpt, "--data", ds_dir])
+    want = []
+    for argv in runs:
+        assert cli.main(argv) == 0
+        want.append(capsys.readouterr().out)
+    path = tmp_path / "ckpt" / "manifest.json"
+    manifest = json.loads(path.read_text())
+    arch = manifest["arch"]
+    manifest["arch"] = {"conv_channels": arch["conv_channels"],
+                        "mlp_widths_reg": [16, 3], "mlp_widths_cls": [16, 3],
+                        "n_classes": 3, "input_kind": "adp",
+                        "input_shape": arch["input_shape"]}
+    manifest["train_config"]["optimizer_weight_decay"] = 0.0
+    path.write_text(json.dumps(manifest))
+    for argv, out in zip(runs, want):
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == out
+
+
 def test_cli_bad_config_exits_2(dataset, tmp_path, capsys, monkeypatch):
     ds_dir, _ = save_untrained_run(dataset, tmp_path)
     trained = []
@@ -307,8 +362,7 @@ def test_cli_bad_config_exits_2(dataset, tmp_path, capsys, monkeypatch):
     for text in ('{"epochz": 1}', '{"fingerprint": "nope"}', '[1, 2]',
                  '{"epochs": 0}', '{bad', '{"lambda1": -1}', '{"gamma": -1}',
                  '{"lambda3_max": -1}', '{"lambda4": NaN}', '{"lr": NaN}',
-                 '{"lr": 0}', '{"momentum": 1}',
-                 '{"optimizer_weight_decay": -1}', '{"batch_size": 8.5}',
+                 '{"lr": 0}', '{"momentum": 1}', '{"batch_size": 8.5}',
                  '{"epochs": true}', '{"seed": -1}', '{"conv_channels": [-1]}',
                  '{"conv_channels": "ab"}', '{"conv_channels": []}',
                  '{"mlp_widths": [0]}'):
@@ -322,6 +376,8 @@ def test_cli_bad_config_exits_2(dataset, tmp_path, capsys, monkeypatch):
                      "--out", str(run)]) == 2
     assert_one_error_line(capsys, "semloc: --config")
     assert not run.exists()
+    assert cli.main(["ablate", "--data", ds_dir, "--seeds", "0", "-1"]) == 2
+    assert_one_error_line(capsys, "semloc: --seeds")
     # every grid row is checked before the first one trains
     grid = tmp_path / "grid.json"
     for rows in ([{"name": "ok", "overrides": {"method": "dcnn"}},
@@ -359,19 +415,25 @@ def test_cli_eval_of_a_non_finite_checkpoint_exits_3(dataset, tmp_path,
     dataio.save_checkpoint(ckpt, state, manifest)
     assert cli.main(["eval", "--ckpt", ckpt, "--data", ds_dir,
                      "--split-json", SPLIT_4]) == 3
-    assert_one_error_line(capsys, "aborted on non-finite value: ")
+    assert_one_error_line(capsys, "semloc: aborted on non-finite value: ")
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_cli_diverging_train_exits_3(dataset, tmp_path, capsys):
+def test_cli_diverging_train_exits_3(dataset, tmp_path, capsys, recwarn):
+    # numpy's overflow warnings on the way to the abort are not shown, and
+    # the aborted run leaves nothing in --out
     ds_dir, _ = save_untrained_run(dataset, tmp_path)
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"lr": 1e10, "epochs": 2, "batch_size": 8,
-                               "conv_channels": [2, 4], "mlp_widths": [16]}))
-    assert cli.main(["train", "--data", ds_dir, "--config", str(cfg),
-                     "--split-json", SPLIT_4,
-                     "--out", str(tmp_path / "run")]) == 3
-    assert "aborted on non-finite value: " in capsys.readouterr().err
+    for lr in (1e10, 1e3):
+        cfg.write_text(json.dumps({"lr": lr, "epochs": 2, "batch_size": 8,
+                                   "conv_channels": [2, 4],
+                                   "mlp_widths": [16]}))
+        assert cli.main(["train", "--data", ds_dir, "--config", str(cfg),
+                         "--split-json", SPLIT_4,
+                         "--out", str(tmp_path / "run")]) == 3
+        assert_one_error_line(capsys,
+                              "semloc: aborted on non-finite value: ")
+        assert list((tmp_path / "run").iterdir()) == []
+        assert len(recwarn) == 0
 
 
 def test_writes_leave_no_truncated_file(dataset, tmp_path, monkeypatch):

@@ -362,23 +362,23 @@ def test_conv2d_forward_is_byte_equal_to_tensordot(x_shape, w_shape):
 # ----------------------------------------------------------------------
 
 def test_sgd_two_step_unroll():
-    # v <- mu v + g + wd p ; p <- p - lr v, checked against hand algebra
-    lr, mu, wd = 0.1, 0.9, 0.01
+    # v <- mu v + g ; p <- p - lr v, checked against hand algebra
+    lr, mu = 0.1, 0.9
     p0 = np.array([1.0, -2.0])
     p = Tensor(p0.copy(), requires_grad=True)
-    opt = SGD({"p": p}, lr=lr, momentum=mu, weight_decay=wd)
+    opt = SGD({"p": p}, lr=lr, momentum=mu)
 
     g1 = np.array([0.5, 0.25])
     p.grad = g1.copy()
     opt.step()
-    v1 = g1 + wd * p0
+    v1 = g1
     p1 = p0 - lr * v1
     np.testing.assert_allclose(p.data, p1, atol=1e-15)
 
     g2 = np.array([-1.0, 2.0])
     p.grad = g2.copy()
     opt.step()
-    v2 = mu * v1 + g2 + wd * p1
+    v2 = mu * v1 + g2
     np.testing.assert_allclose(p.data, p1 - lr * v2, atol=1e-15)
 
 
@@ -386,7 +386,7 @@ def test_sgd_no_momentum_prefix():
     # 0-d parameters (the hda log-variances) take plain steps
     p = Tensor(0.0, requires_grad=True)
     q = Tensor(np.array([0.0]), requires_grad=True)
-    opt = SGD({"s": p, "w": q}, lr=1.0, momentum=0.5, weight_decay=0.0)
+    opt = SGD({"s": p, "w": q}, lr=1.0, momentum=0.5)
     for _ in range(2):
         p.grad = np.array(1.0)
         q.grad = np.array([1.0])
@@ -398,7 +398,7 @@ def test_sgd_no_momentum_prefix():
 
 def test_sgd_aborts_on_non_finite_gradient():
     p = Tensor(np.array([1.0]), requires_grad=True)
-    opt = SGD({"p": p}, lr=0.1, momentum=0.0, weight_decay=0.0)
+    opt = SGD({"p": p}, lr=0.1, momentum=0.0)
     p.grad = np.array([np.inf])
     with pytest.raises(NonFinite):
         opt.step()

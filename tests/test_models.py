@@ -7,19 +7,20 @@ import pytest
 from semloc.engine import ShapeMismatch
 from semloc.models import ArchConfig, Model
 
-ARCH = ArchConfig(conv_channels=[2, 3, 3, 4], mlp_widths_reg=[8, 6, 3],
-                  mlp_widths_cls=[8, 6, 3], input_shape=(1, 16, 32))
+ARCH = ArchConfig(conv_channels=[2, 3, 3, 4], mlp_widths=[8, 6],
+                  input_shape=(1, 16, 32))
 
 
 def param_count_oracle(arch):
     """Hand-derived count: conv blocks have w + bn(gamma, beta); hidden
-    linear blocks have w + bn; output layers have w + bias."""
+    linear blocks have w + bn; output layers have w + bias.  Both heads
+    end in width 3: x, y, z and LOS/DNLOS/SNLOS."""
     total = 0
     c_in = arch.input_shape[0]
     for c_out in arch.conv_channels:
         total += c_out * c_in * 9 + 2 * c_out
         c_in = c_out
-    for widths in (arch.mlp_widths_reg, arch.mlp_widths_cls):
+    for widths in ([*arch.mlp_widths, 3], [*arch.mlp_widths, 3]):
         d = arch.feature_dim()
         for i, w in enumerate(widths):
             total += d * w
@@ -119,20 +120,24 @@ def test_input_shape_validation():
         model.forward(np.zeros((2, 1, 16, 16)))  # wrong W
     with pytest.raises(ShapeMismatch):
         ArchConfig(conv_channels=[4, 4, 4, 4], input_shape=(1, 20, 32))
+    # (C, H, W) are positive integers; -16 would pass the divisibility test
+    for bad in ((0, 16, 16), (1, -16, 16), (1, 16.0, 16), (True, 16, 16),
+                (16, 16)):
+        with pytest.raises(ValueError):
+            ArchConfig(conv_channels=[2, 2], input_shape=bad)
 
 
 def test_arch_round_trip_and_describe():
     d = ARCH.to_dict()
+    assert d == {"conv_channels": [2, 3, 3, 4], "mlp_widths": [8, 6],
+                 "input_shape": (1, 16, 32)}
     again = ArchConfig.from_dict(d)
     assert again.to_dict() == d
+    # checkpoints once stored each head's widths with the output width
+    # appended, plus n_classes and input_kind
+    old = {"conv_channels": [2, 3, 3, 4], "mlp_widths_reg": [8, 6, 3],
+           "mlp_widths_cls": [8, 6, 3], "n_classes": 3, "input_kind": "adp",
+           "input_shape": [1, 16, 32]}
+    assert ArchConfig.from_dict(old) == ARCH
     text = Model(ARCH, seed=0).describe()
     assert "theta1.conv0" in text and "total parameters" in text
-
-
-def test_classifier_width_follows_n_classes():
-    arch = ArchConfig(conv_channels=[2, 2, 2, 2], mlp_widths_reg=[8, 3],
-                      mlp_widths_cls=[8, 3], n_classes=2,
-                      input_shape=(1, 16, 16))
-    model = Model(arch, seed=0)
-    out = model.forward(np.zeros((2, 1, 16, 16)), train=True)
-    assert out.probs.shape == (2, 2)

@@ -452,9 +452,16 @@ def test_scenario_validation():
                 dict(lanes=[Lane(0.0, -10.0, 10.0, density=np.nan)]),
                 dict(reflection_coeff=np.nan), dict(reflection_coeff=-0.5),
                 dict(noise_snr_db="x"), dict(noise_snr_db=np.inf),
-                dict(n_subcarriers=8.5), dict(n_subcarriers=1)):
+                dict(n_subcarriers=8.5), dict(n_subcarriers=1),
+                dict(lanes=[Lane(0.0, 10.0, -10.0)]),
+                dict(lanes=[Lane(0.0, -np.inf, 10.0)])):
         with pytest.raises(ValueError):
             _tiny_scenario(**bad)
+    for bad in (dict(m_y=2.5, m_z=2), dict(m_y=2, m_z=0),
+                dict(m_y=True, m_z=2), dict(m_y=2, m_z=2, spacing=0.0),
+                dict(m_y=2, m_z=2, spacing=np.nan)):
+        with pytest.raises(ValueError):
+            ArrayGeometry(**bad)
     _tiny_scenario(min_paths=4, max_paths=4)
     _tiny_scenario(bs_position=(np.float64(1.0), 0, 5.0), noise_snr_db=10,
                    lanes=[Lane(0.0, -10.0, 10.0, density=0.0)],
@@ -471,3 +478,27 @@ def test_scenario_json_round_trip(tmp_path):
     d1 = generate_dataset(sc, n_scenes=1, seed=0)
     d2 = generate_dataset(sc2, n_scenes=1, seed=0)
     assert d1.cfr.tobytes() == d2.cfr.tobytes()
+
+
+def test_scenario_from_dict_checks_its_keys():
+    d = desk_scenario(grid_points=10).to_dict()
+    # the keys older files may lack take the field's default
+    old = {k: v for k, v in d.items()
+           if k not in ("min_paths", "reflection_coeff", "traffic_drift",
+                        "noise_snr_db")}
+    sc = Scenario.from_dict(old)
+    assert (sc.min_paths, sc.reflection_coeff, sc.traffic_drift,
+            sc.noise_snr_db) == (None, 0.6, 0.0, None)
+    lane, building = d["lanes"][0], d["buildings"][0]
+    for bad in ({**d, "lane": []}, {**d, "array": {**d["array"], "m_x": 4}},
+                {**d, "lanes": [{**lane, "speed": 1.0}]},
+                {**d, "buildings": [{**building, "mid": [0, 0, 0]}]},
+                {k: v for k, v in d.items() if k != "lanes"},
+                {k: v for k, v in d.items() if k != "max_paths"},
+                {**d, "array": {"m_y": 4}},
+                {**d, "buildings": [{"lo": [0.0] * 3}]}):
+        with pytest.raises(ValueError):
+            Scenario.from_dict(bad)
+    for bad in ("desk", {**d, "array": [4, 4]}, {**d, "lanes": [1.0]}):
+        with pytest.raises(TypeError):
+            Scenario.from_dict(bad)
