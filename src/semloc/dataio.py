@@ -18,7 +18,7 @@ import os
 
 import numpy as np
 
-from .scenario import Dataset, Scenario
+from .scenario import Dataset, Scenario, _is_int
 
 
 def write_file(path, data):
@@ -104,15 +104,23 @@ def load_dataset(in_dir):
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"{path}: scenario: {type(exc).__name__}: {exc}") \
             from None
-    n, m, k = manifest["cfr_shape"]
+    shape = manifest["cfr_shape"]
+    if not (isinstance(shape, list) and len(shape) == 3
+            and all(_is_int(v) and v >= 0 for v in shape)):
+        raise InputError(f"{path}: cfr_shape {shape!r} is not a list of "
+                         f"three non-negative ints")
+    n, m, k = shape
     if [m, k] != [scenario.array.size, scenario.n_subcarriers]:
         raise InputError(f"{path}: cfr_shape {[n, m, k]} does not fit the "
                          f"scenario's {scenario.array} and "
                          f"{scenario.n_subcarriers} subcarriers")
     for key in ("scene_of_sample", "grid_of_sample"):
-        if len(manifest[key]) != n:
-            raise InputError(f"{path}: {key} has {len(manifest[key])} "
-                             f"entries, cfr_shape implies {n}")
+        ids = manifest[key]
+        if not (isinstance(ids, list) and all(_is_int(v) for v in ids)):
+            raise InputError(f"{path}: {key} is not a list of ints")
+        if len(ids) != n:
+            raise InputError(f"{path}: {key} has {len(ids)} entries, "
+                             f"cfr_shape implies {n}")
     cfr = _read_array(in_dir, "cfr.bin", "<f4", 2 * n * m * k)
     cfr = cfr.view("<c8").reshape(n, m, k).astype(np.complex128)
     coords = _read_array(in_dir, "coords.bin", "<f4", 3 * n)

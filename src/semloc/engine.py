@@ -6,7 +6,12 @@ max_pool2d, batch_norm, relu, sigmoid, (log_)softmax, elementwise
 arithmetic, reductions, concat and a vector Kronecker product.  Each
 primitive registers a closure that propagates adjoints to the parents
 that need a gradient; ``Tensor.backward`` walks the graph once in reverse
-topological order.  Inside ``no_grad()`` no graph is built at all.
+topological order.  Inside ``no_grad()`` no graph is built at all, so
+no closure keeps a forward buffer alive.
+
+The conv2d gradients are im2col matmuls plus a col2im scatter, and
+batch_norm is one primitive with the closed-form backward of Ioffe &
+Szegedy (2015) rather than a composite of the elementwise ones.
 
 Finiteness is checked at the boundaries only: leaf tensors (user data,
 parameters, lifted constants), the loss in ``backward``, and the
@@ -424,21 +429,19 @@ def conv2d(x, w):
         out_data.reshape(F, B, H, W).transpose(1, 0, 2, 3))
 
     def _bw(g):
-        win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
-        # win: [B, C, Ho, Wo, kh, kw]
-        gw = np.tensordot(g, win, axes=([0, 2, 3], [0, 2, 3]))  # [F,C,kh,kw]
-        w._accumulate(gw)
+        # both gradients are matmuls against the forward's K-major layout:
+        # the weight gradient reads `cols`, the input gradient is scattered
+        # back by col2im (kh*kw shifted adds into a zero-padded buffer)
+        gt = g.transpose(1, 0, 2, 3).reshape(F, -1)
+        w._accumulate((gt @ cols.reshape(C * kh * kw, -1).T).reshape(w.shape))
         if not x.requires_grad:  # raw input data: nobody reads its gradient
             return
-        # input gradient: full correlation of g with the rotated kernel
-        gp = np.pad(g, ((0, 0), (0, 0), (kh - 1, kh - 1), (kw - 1, kw - 1)))
-        gwin = np.lib.stride_tricks.sliding_window_view(gp, (kh, kw), axis=(2, 3))
-        wrot = w.data[:, :, ::-1, ::-1]
-        gx = np.tensordot(gwin, wrot, axes=([1, 4, 5], [0, 2, 3]))
-        gx = gx.transpose(0, 3, 1, 2)
-        if ph or pw:
-            gx = gx[:, :, ph:ph + H, pw:pw + W]
-        x._accumulate(gx)
+        gcols = (w.data.reshape(F, -1).T @ gt).reshape(C, kh, kw, B, H, W)
+        gxp = np.zeros((C, B, H + 2 * ph, W + 2 * pw))
+        for i in range(kh):
+            for j in range(kw):
+                gxp[:, :, i:i + H, j:j + W] += gcols[:, i, j]
+        x._accumulate(gxp[:, :, ph:ph + H, pw:pw + W].transpose(1, 0, 2, 3))
 
     return Tensor(out_data, _parents=(x, w), _backward=_bw)
 
@@ -473,7 +476,7 @@ def max_pool2d(x):
 
 
 # ----------------------------------------------------------------------
-# batch normalization (composite; adjoints come from the primitives)
+# batch normalization (one primitive, closed-form backward)
 # ----------------------------------------------------------------------
 
 BN_EPS = 1e-8
@@ -487,6 +490,15 @@ def batch_norm(x, gamma, beta, running_mean, running_var, *, training):
     axis.  In training mode the batch statistics are used and the plain
     numpy arrays `running_mean` / `running_var` are updated in place; in
     eval mode the op is a deterministic affine map of the running stats.
+
+    The forward repeats, in place, the numpy operations of the composite
+    batch norm it replaced (mean as sum * (1/n), ``** -0.5`` in training,
+    ``1 / sqrt`` in eval), so outputs and running statistics stay
+    byte-equal and a checkpoint evaluates as before.  The backward is the
+    closed form of Ioffe & Szegedy (2015): with xhat the normalized input
+    and n the count per channel, dgamma = sum(g * xhat), dbeta = sum(g)
+    and, in training mode, dx = gamma * rstd * (g - dbeta/n - xhat *
+    dgamma/n).
     """
     x = _lift(x)
     if x.ndim == 4:
@@ -495,22 +507,50 @@ def batch_norm(x, gamma, beta, running_mean, running_var, *, training):
         axes, bshape = (0,), (1, -1)
     else:
         raise ShapeMismatch("batch_norm expects 2-D or 4-D input")
+    n = x.data.size // x.shape[1]
+    g_b, b_b = gamma.data.reshape(bshape), beta.data.reshape(bshape)
 
     if training:
-        mu = tmean(x, axis=axes, keepdims=True)
-        xc = x - mu
-        var = tmean(square(xc), axis=axes, keepdims=True)
+        mu = x.data.sum(axis=axes, keepdims=True) * (1.0 / n)
+        xhat = x.data - mu
+        out_data = np.multiply(xhat, xhat)
         # biased batch variance, folded into the running estimate
+        var = out_data.sum(axis=axes, keepdims=True) * (1.0 / n)
         running_mean *= 1.0 - BN_MOMENTUM
-        running_mean += BN_MOMENTUM * mu.data.reshape(-1)
+        running_mean += BN_MOMENTUM * mu.reshape(-1)
         running_var *= 1.0 - BN_MOMENTUM
-        running_var += BN_MOMENTUM * var.data.reshape(-1)
-        xhat = xc * power(var + BN_EPS, -0.5)
+        running_var += BN_MOMENTUM * var.reshape(-1)
+        rstd = (var + BN_EPS) ** -0.5
+        xhat *= rstd
+        np.multiply(g_b, xhat, out=out_data)
+        out_data += b_b
     else:
+        # one buffer and no xhat kept: the backward recomputes it
         rm = running_mean.reshape(bshape)
-        rs = 1.0 / np.sqrt(running_var + BN_EPS)
-        xhat = (x - constant(rm)) * constant(rs.reshape(bshape))
-    return reshape(gamma, bshape) * xhat + reshape(beta, bshape)
+        rstd = (1.0 / np.sqrt(running_var + BN_EPS)).reshape(bshape)
+        out_data = x.data - rm
+        out_data *= rstd
+        out_data *= g_b
+        out_data += b_b
+
+    def _bw(g):
+        dbeta = g.sum(axis=axes)
+        gx = g * (xhat if training else (x.data - rm) * rstd)
+        dgamma = gx.sum(axis=axes)
+        gamma._accumulate(dgamma)
+        beta._accumulate(dbeta)
+        if not x.requires_grad:
+            return
+        if training:
+            np.multiply(xhat, (dgamma * (1.0 / n)).reshape(bshape), out=gx)
+            np.subtract(g, gx, out=gx)
+            gx -= (dbeta * (1.0 / n)).reshape(bshape)
+            gx *= g_b * rstd
+        else:
+            np.multiply(g, g_b * rstd, out=gx)
+        x._accumulate(gx)
+
+    return Tensor(out_data, _parents=(x, gamma, beta), _backward=_bw)
 
 
 # ----------------------------------------------------------------------

@@ -5,6 +5,7 @@ The heavyweight criterion (the directional ablation) trains twelve small
 models and dominates the suite's runtime; its budget is 30 minutes of CPU.
 """
 
+import os
 import time
 
 import numpy as np
@@ -192,6 +193,8 @@ def test_acceptance_4_simulator_consistency(capsys):
 def test_acceptance_5_directional_ablation(capsys):
     t0 = time.time()
     c0 = time.process_time()  # budget is CPU time on one core
+    # CPU minutes depend on the BLAS thread count, so the line names it
+    blas_threads = os.environ.get("OPENBLAS_NUM_THREADS", "unset")
     ds = generate_dataset(desk_scenario(), n_scenes=40, seed=0)
     split = SplitPlan.default(40)
     base = TrainConfig(epochs=10, batch_size=64,
@@ -218,7 +221,8 @@ def test_acceptance_5_directional_ablation(capsys):
               f"{rmse['cr-only']:.3f}: {ok_b}; "
               f"(c) hda gap {hda_gap:+.1f}% <= 5%: {ok_c}; "
               f"cpu {cpu_min:.1f} min < 30 min: {ok_t} "
-              f"[wall {wall_min:.1f} min on a shared core]")
+              f"[wall {wall_min:.1f} min on a shared core; "
+              f"OPENBLAS_NUM_THREADS={blas_threads}]")
     report(capsys, "directional-ablation", ok_a and ok_b and ok_c and ok_t,
            detail)
 

@@ -310,6 +310,27 @@ def test_cli_bad_input_files_exit_4(dataset, tmp_path, capsys):
         assert_one_error_line(capsys)
 
 
+def test_cli_malformed_dataset_manifest_exits_4(dataset, tmp_path, capsys):
+    # a cfr_shape that is not three non-negative ints, or per-sample ids
+    # that are not a list of ints, exit 4 with one stderr line, not a
+    # traceback; train stops before --out
+    ds_dir, ckpt = save_untrained_run(dataset, tmp_path)
+    path = tmp_path / "ds" / "manifest.json"
+    manifest = json.loads(path.read_text())
+    n, m, k = manifest["cfr_shape"]
+    run = tmp_path / "run"
+    for key, bad in (("cfr_shape", [m, k]), ("cfr_shape", [n, m, -k]),
+                     ("cfr_shape", [n, m, float(k)]),
+                     ("scene_of_sample", 5),
+                     ("grid_of_sample", ["0"] * n)):
+        path.write_text(json.dumps({**manifest, key: bad}))
+        for argv in (["eval", "--ckpt", ckpt, "--data", ds_dir],
+                     ["train", "--data", ds_dir, "--out", str(run)]):
+            assert cli.main(argv) == 4, (key, bad, argv)
+            assert_one_error_line(capsys, f"semloc: {path}: {key}")
+            assert not run.exists()
+
+
 def test_cli_scores_checkpoints_with_stale_train_config_keys(dataset, tmp_path,
                                                            capsys):
     # eval reads only the fingerprint and normalization of train_config,

@@ -3,14 +3,18 @@
 Forward values are compared against independent numpy oracles (nested-loop
 convolution, hand unrolled optimizer steps); gradients are compared against
 central finite differences through `engine.grad_check`.  The strided-slice
-max-pool and the im2col conv forward must match the kernels they replaced
-(kept here as oracles) byte for byte.
+max-pool, the im2col conv forward and the fused batch-norm forward must
+match the kernels they replaced (kept here as oracles) byte for byte; the
+im2col/col2im conv gradients and the closed-form batch-norm backward must
+match theirs to 1e-10.  Hypothesis draws small random shapes for the
+batch-norm and conv checks.
 """
 
 import functools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from semloc import engine as E
 from semloc.engine import SGD, NonFinite, ShapeMismatch, Tensor, grad_check
@@ -241,12 +245,15 @@ def test_non_finite_input_rejected():
 
 
 def test_graph_records_only_parents_that_need_a_gradient():
-    x = Tensor(RNG.normal(size=(2, 1, 4, 4)))  # raw data
+    # conv0 reads the C = 1 raw data: its input gradient is skipped
+    x = Tensor(RNG.normal(size=(2, 1, 4, 4)))
     w = Tensor(RNG.normal(size=(3, 1, 3, 3)), requires_grad=True)
     out = E.conv2d(x, w)
     assert out._parents == (w,)
     (out * 2.0).sum().backward()
-    assert x.grad is None and w.grad is not None
+    assert x.grad is None
+    assert_grad_close(w.grad, conv2d_tensordot_grads(
+        x.data, w.data, np.full(out.shape, 2.0))[0])
     c = E.constant(np.ones(3))
     assert (c * 2.0).requires_grad is False and (c * 2.0)._parents == ()
 
@@ -294,10 +301,60 @@ def max_pool2d_argmax(x, ties_to_last=False):
 def conv2d_tensordot(x, w):
     """The sliding-window tensordot forward that the im2col forward
     replaced."""
-    xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
-    win = np.lib.stride_tricks.sliding_window_view(xp, (3, 3), axis=(2, 3))
+    kh, kw = w.shape[2:]
+    ph, pw = (kh - 1) // 2, (kw - 1) // 2
+    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
     out = np.tensordot(win, w, axes=([1, 4, 5], [1, 2, 3]))
     return np.ascontiguousarray(out.transpose(0, 3, 1, 2))
+
+
+def conv2d_tensordot_grads(x, w, g):
+    """The sliding-window tensordot backward that the im2col/col2im
+    backward replaced: the weight and input gradients of conv2d(x, w) for
+    the upstream gradient g."""
+    kh, kw = w.shape[2:]
+    ph, pw = (kh - 1) // 2, (kw - 1) // 2
+    H, W = x.shape[2:]
+    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
+    gw = np.tensordot(g, win, axes=([0, 2, 3], [0, 2, 3]))
+    # input gradient: full correlation of g with the rotated kernel
+    gp = np.pad(g, ((0, 0), (0, 0), (kh - 1, kh - 1), (kw - 1, kw - 1)))
+    gwin = np.lib.stride_tricks.sliding_window_view(gp, (kh, kw), axis=(2, 3))
+    gx = np.tensordot(gwin, w[:, :, ::-1, ::-1], axes=([1, 4, 5], [0, 2, 3]))
+    gx = gx.transpose(0, 3, 1, 2)[:, :, ph:ph + H, pw:pw + W]
+    return gw, gx
+
+
+def batch_norm_composite(x, gamma, beta, running_mean, running_var, *,
+                         training):
+    """The batch norm built from engine primitives that the fused primitive
+    replaced; its adjoints come from about ten graph nodes."""
+    axes, bshape = ((0, 2, 3), (1, -1, 1, 1)) if x.ndim == 4 \
+        else ((0,), (1, -1))
+    if training:
+        mu = E.tmean(x, axis=axes, keepdims=True)
+        xc = x - mu
+        var = E.tmean(E.square(xc), axis=axes, keepdims=True)
+        running_mean *= 1.0 - E.BN_MOMENTUM
+        running_mean += E.BN_MOMENTUM * mu.data.reshape(-1)
+        running_var *= 1.0 - E.BN_MOMENTUM
+        running_var += E.BN_MOMENTUM * var.data.reshape(-1)
+        xhat = xc * E.power(var + E.BN_EPS, -0.5)
+    else:
+        rm = running_mean.reshape(bshape)
+        rs = 1.0 / np.sqrt(running_var + E.BN_EPS)
+        xhat = (x - E.constant(rm)) * E.constant(rs.reshape(bshape))
+    return E.reshape(gamma, bshape) * xhat + E.reshape(beta, bshape)
+
+
+def assert_grad_close(got, want):
+    """Within rtol 1e-10; entries that cancel to about zero may differ by
+    1e-12 of the largest entry, as summation order decides their last
+    bits."""
+    np.testing.assert_allclose(got, want, rtol=1e-10,
+                               atol=1e-12 * np.abs(want).max())
 
 
 def _pool_bytes(pool, x, g):
@@ -355,6 +412,124 @@ def test_conv2d_forward_is_byte_equal_to_tensordot(x_shape, w_shape):
     w = rng.normal(size=w_shape) * 0.3
     got = E.conv2d(Tensor(x), Tensor(w)).data
     assert got.tobytes() == conv2d_tensordot(x, w).tobytes()
+
+
+def _conv_grads(x, w, g):
+    """Weight and input gradients of conv2d(x, w), upstream gradient g."""
+    xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
+    (E.conv2d(xt, wt) * E.constant(g)).sum().backward()
+    return wt.grad, xt.grad
+
+
+@pytest.mark.parametrize("x_shape,w_shape",
+                         [s for s in CONV_SHAPES if s[0][0] == 64])
+def test_conv2d_gradients_match_tensordot(x_shape, w_shape):
+    rng = np.random.default_rng(6)
+    x = rng.normal(size=x_shape)
+    w = rng.normal(size=w_shape) * 0.3
+    g = rng.normal(size=(x_shape[0], w_shape[0]) + x_shape[2:])
+    gw, gx = _conv_grads(x, w, g)
+    want_gw, want_gx = conv2d_tensordot_grads(x, w, g)
+    assert_grad_close(gw, want_gw)
+    assert_grad_close(gx, want_gx)
+
+
+def _bn_run(bn, x, gamma, beta, rm, rv, g, training):
+    """Output, running stats and the (x, gamma, beta) gradients of `bn`."""
+    rm, rv = rm.copy(), rv.copy()
+    xt = Tensor(x, requires_grad=True)
+    gt, bt = (Tensor(gamma, requires_grad=True),
+              Tensor(beta, requires_grad=True))
+    out = bn(xt, gt, bt, rm, rv, training=training)
+    (out * E.constant(g)).sum().backward()
+    return out.data, rm, rv, (xt.grad, gt.grad, bt.grad)
+
+
+def _bn_case(rng, shape):
+    c = shape[1]
+    return (rng.normal(loc=1.0, scale=2.0, size=shape), rng.random(c) + 0.5,
+            rng.normal(size=c), rng.normal(size=c), rng.random(c) + 0.5,
+            rng.normal(size=shape))
+
+
+def _check_bn_against_composite(case, training):
+    got = _bn_run(E.batch_norm, *case, training)
+    want = _bn_run(batch_norm_composite, *case, training)
+    for a, b in zip(got[:3], want[:3]):  # output and running stats
+        assert a.tobytes() == b.tobytes()
+    for a, b in zip(got[3], want[3]):
+        assert_grad_close(a, b)
+
+
+@pytest.mark.parametrize("training", [True, False])
+@pytest.mark.parametrize("shape", [(64, 4, 16, 32), (5, 3, 2, 2), (64, 32),
+                                   (7, 5)])
+def test_batch_norm_matches_composite(shape, training):
+    _check_bn_against_composite(_bn_case(np.random.default_rng(3), shape),
+                                training)
+
+
+# ----------------------------------------------------------------------
+# property tests: random small shapes (derandomized, so tier-1 stays
+# deterministic)
+# ----------------------------------------------------------------------
+
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=25)
+SEEDS = st.integers(0, 2 ** 32 - 1)
+
+
+@st.composite
+def bn_shapes(draw):
+    """2-D [B, C] or 4-D [B, C, H, W], at least 4 values per channel so the
+    batch statistics are not degenerate."""
+    c = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        return (draw(st.integers(4, 9)), c)
+    shape = (draw(st.integers(1, 3)), c, draw(st.integers(1, 4)),
+             draw(st.integers(1, 4)))
+    return shape if shape[0] * shape[2] * shape[3] >= 4 else (4,) + shape[1:]
+
+
+@PROPERTY
+@given(shape=bn_shapes(), seed=SEEDS)
+def test_property_batch_norm_matches_composite_and_finite_differences(
+        shape, seed):
+    case = _bn_case(np.random.default_rng(seed), shape)
+    _check_bn_against_composite(case, training=True)
+    x, gamma, beta, _, _, c = case
+    params = {"x": Tensor(x, requires_grad=True),
+              "gamma": Tensor(gamma, requires_grad=True),
+              "beta": Tensor(beta, requires_grad=True)}
+
+    def f():
+        rm, rv = np.zeros(shape[1]), np.ones(shape[1])
+        return weighted(E.batch_norm(*params.values(), rm, rv,
+                                     training=True), c)
+
+    assert grad_check(f, params) < 1e-6
+
+
+@PROPERTY
+@given(b=st.integers(1, 2), c=st.integers(1, 3), f=st.integers(1, 3),
+       h=st.integers(1, 5), w=st.integers(1, 5),
+       kh=st.sampled_from([1, 3, 5]), kw=st.sampled_from([1, 3, 5]),
+       seed=SEEDS)
+def test_property_conv2d_matches_tensordot_and_finite_differences(
+        b, c, f, h, w, kh, kw, seed):
+    rng = np.random.default_rng(seed)
+    x, k = rng.normal(size=(b, c, h, w)), rng.normal(size=(f, c, kh, kw))
+    g = rng.normal(size=(b, f, h, w))
+    np.testing.assert_allclose(E.conv2d(Tensor(x), Tensor(k)).data,
+                               conv2d_tensordot(x, k), rtol=1e-12,
+                               atol=1e-12)
+    gk, gx = _conv_grads(x, k, g)
+    want_gk, want_gx = conv2d_tensordot_grads(x, k, g)
+    assert_grad_close(gk, want_gk)
+    assert_grad_close(gx, want_gx)
+    params = {"x": Tensor(x, requires_grad=True),
+              "w": Tensor(k, requires_grad=True)}
+    assert grad_check(lambda: weighted(E.conv2d(*params.values()), g),
+                      params) < 1e-6
 
 
 # ----------------------------------------------------------------------
