@@ -416,14 +416,19 @@ def conv2d(x, w):
     B, C, H, W = x.shape
     F = w.shape[0]
 
-    xp = np.pad(x.data, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
     # K-major im2col (Chellapilla et al., 2006): cols[c, i, j] is the input
-    # shifted by (i, j), so the forward is one [F, K] @ [K, B*H*W] matmul
-    xt = xp.transpose(1, 0, 2, 3)
-    cols = np.empty((C, kh, kw, B, H, W))
+    # shifted by (i - ph, j - pw) and zero outside it, so the forward is one
+    # [F, K] @ [K, B*H*W] matmul; each shift copies only its valid window
+    xt = x.data.transpose(1, 0, 2, 3)
+    cols = np.zeros((C, kh, kw, B, H, W))
     for i in range(kh):
         for j in range(kw):
-            cols[:, i, j] = xt[:, :, i:i + H, j:j + W]
+            h, v = H - abs(i - ph), W - abs(j - pw)
+            if h <= 0 or v <= 0:  # the kernel reaches past the whole input
+                continue
+            y, z = max(ph - i, 0), max(pw - j, 0)
+            sy, sz = max(i - ph, 0), max(j - pw, 0)
+            cols[:, i, j, :, y:y + h, z:z + v] = xt[:, :, sy:sy + h, sz:sz + v]
     out_data = w.data.reshape(F, -1) @ cols.reshape(C * kh * kw, -1)
     out_data = np.ascontiguousarray(
         out_data.reshape(F, B, H, W).transpose(1, 0, 2, 3))

@@ -4,12 +4,12 @@ A scenario is a static street layout (BS, UE grid, buildings, traffic
 lanes); a scene is one snapshot of vehicle positions.  Links get a
 direct path plus one single-bounce specular reflection (image method)
 per building or vehicle face that both ends see from outside, each kept
-only if unobstructed; the strongest `max_paths` survive.  Every face of
-every box is handled at once as an array, and one segment/box hit test
-per link covers the direct path and both legs of every reflection.  The
-propagation-condition label distinguishes a clear direct path (LOS),
-a direct path blocked only by vehicles (DNLOS) and one blocked by any
-building (SNLOS).
+only if unobstructed; the strongest `max_paths` survive.  A scene is
+traced in one array pass: every face of every box for every grid point
+at once, and one segment/box hit test covers all direct paths and both
+legs of every reflection.  The propagation-condition label distinguishes
+a clear direct path (LOS), a direct path blocked only by vehicles (DNLOS)
+and one blocked by any building (SNLOS).
 """
 
 from __future__ import annotations
@@ -256,26 +256,22 @@ def segments_hit_boxes(p0, p1, boxes_lo, boxes_hi):
     """
     p0 = np.atleast_2d(np.asarray(p0, float))
     p1 = np.atleast_2d(np.asarray(p1, float))
-    if boxes_lo.size == 0:
-        return np.zeros((p0.shape[0], 0), bool)
-    d = (p1 - p0)[:, None, :]                      # [S, 1, 3]
-    o = p0[:, None, :]
-    lo = boxes_lo[None, :, :]                      # [1, B, 3]
-    hi = boxes_hi[None, :, :]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t0 = (lo - o) / d
-        t1 = (hi - o) / d
-    tnear = np.where(np.isnan(t0), -np.inf, np.minimum(t0, t1))
-    tfar = np.where(np.isnan(t1), np.inf, np.maximum(t0, t1))
-    # axes with zero direction: inside the slab iff o within [lo, hi]
-    zero = np.broadcast_to(d == 0.0, tnear.shape)
-    inside = (o >= lo) & (o <= hi)
-    tnear = np.where(zero, np.where(inside, -np.inf, np.inf), tnear)
-    tfar = np.where(zero, np.where(inside, np.inf, -np.inf), tfar)
-    tmin = tnear.max(axis=2)
-    tmax = tfar.min(axis=2)
-    enter = np.maximum(tmin, _SEG_EPS)
-    leave = np.minimum(tmax, 1.0 - _SEG_EPS)
+    d = p1 - p0
+    enter = np.full((len(p0), len(boxes_lo)), _SEG_EPS)
+    leave = np.full_like(enter, 1.0 - _SEG_EPS)
+    for a in range(3):  # one slab at a time keeps the temporaries [S, B]
+        o, da = p0[:, a, None], d[:, a, None]
+        lo, hi = boxes_lo[:, a], boxes_hi[:, a]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t0 = (lo - o) / da
+            t1 = (hi - o) / da
+        # an axis with zero direction: inside the slab iff o within [lo, hi]
+        inside = (o >= lo) & (o <= hi)
+        zero = da == 0.0
+        np.maximum(enter, np.where(zero, np.where(inside, -np.inf, np.inf),
+                                   np.minimum(t0, t1)), out=enter)
+        np.minimum(leave, np.where(zero, np.where(inside, np.inf, -np.inf),
+                                   np.maximum(t0, t1)), out=leave)
     return leave - enter > 1e-12
 
 
@@ -297,22 +293,24 @@ def _norms(v):
 # ----------------------------------------------------------------------
 
 def _specular_points(bs, ue, boxes_lo, boxes_hi):
-    """Image-method reflection points [R, 3], one per valid box face.
+    """Image-method reflection points for UE positions `ue` [L, 3].
 
-    A face is valid when BS and UE both lie strictly on its outer side
-    and the specular point falls inside the face.  Rows come in (box,
-    axis, lo face then hi face) order.
+    Returns the points [R, 3], one per valid box face and UE, and the UE
+    index [R] of each.  A face is valid when BS and UE both lie strictly
+    on its outer side and the specular point falls inside the face.  Rows
+    come in (UE, box, axis, lo face then hi face) order.
     """
     plane = np.stack([boxes_lo, boxes_hi], axis=-1)     # [B, axis, face]
     sign = np.array([-1.0, 1.0])
+    ue_axis = ue[:, None, :, None]                       # [L, 1, axis, 1]
     facing = ((sign * (bs[:, None] - plane) > 1e-9)
-              & (sign * (ue[:, None] - plane) > 1e-9))
+              & (sign * (ue_axis - plane) > 1e-9))       # [L, B, axis, face]
     # the BS mirrored in each face plane, [B, axis, face, coord]
     mirrored = 2.0 * plane - bs[:, None]
     on_axis = np.eye(3, dtype=bool)[:, None, :]          # [axis, 1, coord]
     img = np.where(on_axis, mirrored[..., None], bs)
-    d = ue - img
-    d_axis = ue[:, None] - mirrored
+    d = ue[:, None, None, None, :] - img      # [L, B, axis, face, coord]
+    d_axis = ue_axis - mirrored
     with np.errstate(divide="ignore", invalid="ignore"):
         t = (plane - mirrored) / d_axis
         q = img + t[..., None] * d
@@ -320,57 +318,88 @@ def _specular_points(bs, ue, boxes_lo, boxes_hi):
                & (q <= boxes_hi[:, None, None, :] + 1e-9)) | on_axis
     valid = (facing & (np.abs(d_axis) >= 1e-12) & (0.0 < t) & (t < 1.0)
              & in_face.all(axis=-1))
-    return q[valid]
+    return q[valid], np.nonzero(valid)[0]
 
 
 def trace_paths(scenario, scene, ue, n_keep=None):
-    """Direct path + single-bounce reflections for one BS-UE link.
+    """Direct path + single-bounce reflections from the BS to `ue`.
 
-    Returns (MpcSet, label).  Raises EmptyLink when nothing survives.
-    `n_keep` truncates to the strongest n paths (default scenario.max_paths),
-    kept in emission order: the direct path, then reflections by face.
+    `ue` is one point [3] or a grid [L, 3]; `n_keep` (default
+    scenario.max_paths) is an int or one int per grid point, and truncates
+    each link to its strongest n paths, kept in emission order: the direct
+    path, then reflections by face.  A grid returns one (MpcSet, label)
+    per point, or None where no path survives; one point returns its
+    (MpcSet, label) and raises EmptyLink when nothing survives.
     """
     bs = np.asarray(scenario.bs_position, float)
     ue = np.asarray(ue, float)
+    grid = ue[None] if ue.ndim == 1 else ue
+    if grid.ndim != 2 or grid.shape[1] != 3:
+        raise ValueError(f"ue must be [3] or [L, 3], not {list(ue.shape)}")
+    n_links = len(grid)
+    n_keep = scenario.max_paths if n_keep is None else n_keep
+    if not (np.ndim(n_keep) == 0 or np.shape(n_keep) == (n_links,)):
+        raise ValueError(f"n_keep must be an int or {n_links} ints, not "
+                         f"shape {list(np.shape(n_keep))}")
+    n_keep = np.broadcast_to(n_keep, n_links)
+    if not (np.issubdtype(n_keep.dtype, np.integer) and (n_keep >= 1).all()):
+        raise ValueError(f"n_keep must hold integers >= 1, not {n_keep}")
     lam = scenario.wavelength
     n_bld = len(scenario.buildings)
     lo, hi = _boxes_to_arrays(list(scenario.buildings) + list(scene.vehicles))
 
-    # one hit test: the direct path, then the BS -> q and q -> UE legs
-    q = _specular_points(bs, ue, lo, hi)
+    # one hit test for the scene: every direct path, then the BS -> q and
+    # q -> UE legs of every reflection
+    q, q_link = _specular_points(bs, grid, lo, hi)
     r = len(q)
     hits = segments_hit_boxes(
-        np.concatenate([bs[None], np.broadcast_to(bs, q.shape), q]),
-        np.concatenate([ue[None], q, np.broadcast_to(ue, q.shape)]), lo, hi)
-    if hits[0, :n_bld].any():
-        label = SNLOS
-    elif hits[0, n_bld:].any():
-        label = DNLOS
-    else:
-        label = LOS
-    points = q[~(hits[1:r + 1].any(axis=1) | hits[r + 1:].any(axis=1))]
-    n_direct = int(label == LOS)
-    if n_direct:  # the direct path is a "reflection" at the UE itself
-        points = np.concatenate([ue[None], points])
-    if len(points) == 0:
-        raise EmptyLink(f"no surviving path to UE at {ue.tolist()}")
+        np.concatenate([np.broadcast_to(bs, grid.shape),
+                        np.broadcast_to(bs, q.shape), q]),
+        np.concatenate([grid, q, grid[q_link]]), lo, hi)
+    direct = hits[:n_links]
+    labels = np.where(direct[:, :n_bld].any(axis=1), SNLOS,
+                      np.where(direct[:, n_bld:].any(axis=1), DNLOS, LOS))
+    clear = ~(hits[n_links:n_links + r].any(axis=1)
+              | hits[n_links + r:].any(axis=1))
+
+    # the direct path is a "reflection" at the UE itself, emitted first
+    los = np.flatnonzero(labels == LOS)
+    link = np.concatenate([los, q_link[clear]])
+    emit = np.argsort(link, kind="stable")
+    link = link[emit]
+    points = np.concatenate([grid[los], q[clear]])[emit]
+    bounced = emit >= len(los)
 
     dirs = points - bs
     first_leg = _norms(dirs)
-    lengths = first_leg + _norms(ue - points)
+    lengths = first_leg + _norms(grid[link] - points)
     gains = lam / (4.0 * np.pi * lengths) * np.exp(-2j * np.pi * lengths / lam)
-    gains[n_direct:] *= scenario.reflection_coeff
+    gains[bounced] *= scenario.reflection_coeff
     unit = dirs / first_leg[:, None]
     elevations = np.arccos(np.clip(unit[:, 2], -1.0, 1.0))
     azimuths = np.arctan2(unit[:, 1], unit[:, 0])
     delays = lengths / SPEED_OF_LIGHT
 
-    # keep the strongest paths (stable order for determinism)
-    n_keep = n_keep if n_keep is not None else scenario.max_paths
-    order = np.argsort(-np.abs(gains), kind="stable")[:n_keep]
-    order = np.sort(order)  # preserve emission order among the survivors
-    return MpcSet(gains[order], azimuths[order], elevations[order],
-                  delays[order]), label
+    # keep each link's strongest paths (stable order for determinism), then
+    # restore emission order among the survivors; `link` is sorted, so the
+    # i-th entry of `strongest` is the rank[i]-th strongest of link[i]
+    counts = np.bincount(link, minlength=n_links)
+    rank = np.arange(len(link)) - (np.cumsum(counts) - counts)[link]
+    strongest = np.lexsort((-np.abs(gains), link))
+    keep = np.sort(strongest[rank < n_keep[link]])
+    kept = np.bincount(link[keep], minlength=n_links)
+    ends = np.cumsum(kept)
+    gains, azimuths = gains[keep], azimuths[keep]
+    elevations, delays = elevations[keep], delays[keep]
+    out = [None if a == b else (MpcSet(gains[a:b], azimuths[a:b],
+                                       elevations[a:b], delays[a:b]),
+                                int(labels[l]))
+           for l, (a, b) in enumerate(zip(ends - kept, ends))]
+    if ue.ndim == 2:
+        return out
+    if out[0] is None:
+        raise EmptyLink(f"no surviving path to UE at {ue.tolist()}")
+    return out[0]
 
 
 # ----------------------------------------------------------------------
@@ -419,19 +448,20 @@ def generate_dataset(scenario, n_scenes, seed):
     if n_scenes < 1:
         raise ValueError("need at least one scene")
     cfrs, coords, labels, scene_ids, grid_ids, dropped = [], [], [], [], [], []
+    grid = scenario.ue_grid
     for t in range(n_scenes):
         scene = make_scene(scenario, seed, t, n_scenes)
-        for l, ue in enumerate(scenario.ue_grid):
-            n_keep = scenario.max_paths
-            if scenario.min_paths is not None:
-                link_rng = np.random.default_rng([int(seed), t, l])
-                n_keep = int(link_rng.integers(scenario.min_paths,
-                                               scenario.max_paths + 1))
-            try:
-                mpcs, label = trace_paths(scenario, scene, ue, n_keep=n_keep)
-            except EmptyLink:
+        n_keep = scenario.max_paths
+        if scenario.min_paths is not None:
+            n_keep = [int(np.random.default_rng([int(seed), t, l]).integers(
+                scenario.min_paths, scenario.max_paths + 1))
+                for l in range(len(grid))]
+        links = trace_paths(scenario, scene, grid, n_keep)
+        for l, (ue, link) in enumerate(zip(grid, links)):
+            if link is None:
                 dropped.append([t, l])
                 continue
+            mpcs, label = link
             h = synth_cfr(mpcs, scenario)
             if scenario.noise_snr_db is not None:
                 noise_rng = np.random.default_rng([int(seed), t, l, 7])

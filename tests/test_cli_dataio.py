@@ -3,13 +3,16 @@
 import json
 import os
 import struct
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from semloc import cli, dataio, training
 from semloc.models import Model
-from semloc.scenario import desk_scenario, generate_dataset
+from semloc.scenario import (ArrayGeometry, Dataset, Scenario, desk_scenario,
+                             generate_dataset)
 
 
 @pytest.fixture(scope="module")
@@ -31,6 +34,39 @@ def test_dataset_round_trip(dataset, tmp_path):
     np.testing.assert_array_equal(back.scene_ids, dataset.scene_ids)
     np.testing.assert_array_equal(back.grid_ids, dataset.grid_ids)
     assert back.manifest["n_scenes"] == dataset.manifest["n_scenes"]
+
+
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(n=st.integers(0, 5), m_y=st.integers(1, 2), m_z=st.integers(1, 2),
+       k=st.integers(2, 4), scale=st.sampled_from([1e-3, 1.0, 1e3]),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(n=0, m_y=1, m_z=1, k=2, scale=1.0, seed=0)
+def test_property_dataset_round_trip(n, m_y, m_z, k, scale, seed):
+    rng = np.random.default_rng(seed)
+    sc = Scenario(bs_position=(0.0, 0.0, 5.0), array=ArrayGeometry(m_y, m_z),
+                  carrier_freq=3.5e9, bandwidth=100e6, n_subcarriers=k,
+                  ue_grid=np.zeros((1, 3)), grid_spacing=1.0)
+    m = sc.array.size
+    scene_ids = rng.integers(0, 40, n)
+    grid_ids = rng.integers(0, 200, n)
+    ds = Dataset(
+        cfr=scale * (rng.normal(size=(n, m, k))
+                     + 1j * rng.normal(size=(n, m, k))),
+        coords=scale * rng.normal(size=(n, 3)),
+        labels=rng.integers(0, 3, n).astype(np.uint8),
+        scene_ids=scene_ids, grid_ids=grid_ids,
+        manifest={"scenario": sc.to_dict(), "n_scenes": 40,
+                  "cfr_shape": [n, m, k],
+                  "scene_of_sample": scene_ids.tolist(),
+                  "grid_of_sample": grid_ids.tolist()})
+    with tempfile.TemporaryDirectory() as out:
+        dataio.save_dataset(ds, out)
+        back = dataio.load_dataset(out)
+    assert back.cfr.shape == (n, m, k) and back.coords.shape == (n, 3)
+    assert np.array_equal(back.cfr, ds.cfr.astype(np.complex64))
+    assert np.array_equal(back.coords, ds.coords.astype(np.float32))
+    for name in ("labels", "scene_ids", "grid_ids"):
+        assert np.array_equal(getattr(back, name), getattr(ds, name)), name
 
 
 def test_cfr_bin_is_interleaved_little_endian_float32(dataset, tmp_path):

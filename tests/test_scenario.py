@@ -5,6 +5,9 @@ synthesis against an explicit per-element loop, and dataset generation
 for determinism and semantic-label correctness.
 """
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -314,19 +317,23 @@ def _assert_traces_equal(sc, scene, ue, n_keep):
         with pytest.raises(EmptyLink):
             trace_paths(sc, scene, ue, n_keep)
         return None
-    got = trace_paths(sc, scene, ue, n_keep)
-    assert got[1] == want[1]
-    for name in ("gains", "azimuths", "elevations", "delays"):
-        assert np.array_equal(getattr(got[0], name), getattr(want[0], name)), name
+    _assert_links_equal(trace_paths(sc, scene, ue, n_keep), want)
     return want[1]
 
 
-def test_array_tracer_matches_loop_tracer_on_toy_scenes():
-    # the box generator of acceptance test 4; every other scene drops its
-    # ceiling mirror, so some links lose every path
+def _assert_links_equal(got, want):
+    """(MpcSet, label) pairs are equal bit for bit."""
+    assert got[1] == want[1]
+    for name in ("gains", "azimuths", "elevations", "delays"):
+        assert np.array_equal(getattr(got[0], name), getattr(want[0], name)), name
+
+
+def _toy_links():
+    """(scenario, scene, ue, n_keep) of 1000 toy links: the box generator
+    of acceptance test 4; every other scene drops its ceiling mirror, so
+    some links lose every path."""
     rng = np.random.default_rng(13)
     mirror = Box((-30.0, -30.0, 50.0), (30.0, 30.0, 51.0))
-    labels, empty = set(), 0
 
     def rand_boxes(n):
         out = []
@@ -346,7 +353,13 @@ def test_array_tracer_matches_loop_tracer_on_toy_scenes():
                       buildings=buildings + [mirror] * (i % 2), max_paths=4)
         ue = np.array([rng.uniform(-10, 10), rng.uniform(4, 6), 1.5])
         n_keep = None if i % 3 else int(rng.integers(1, 4))
-        label = _assert_traces_equal(sc, Scene(0, vehicles), ue, n_keep)
+        yield sc, Scene(0, vehicles), ue, n_keep
+
+
+def test_array_tracer_matches_loop_tracer_on_toy_scenes():
+    labels, empty = set(), 0
+    for sc, scene, ue, n_keep in _toy_links():
+        label = _assert_traces_equal(sc, scene, ue, n_keep)
         if label is None:
             empty += 1
         labels.add(label)
@@ -359,6 +372,130 @@ def test_array_tracer_matches_loop_tracer_on_a_desk_scene(n_keep):
     scene = make_scene(sc, 0, 30, 40)
     labels = [_assert_traces_equal(sc, scene, ue, n_keep) for ue in sc.ue_grid]
     assert {LOS, DNLOS, SNLOS} <= set(labels)
+
+
+# ----------------------------------------------------------------------
+# the grid form of the tracer against its one-point form
+# ----------------------------------------------------------------------
+
+def test_grid_tracer_matches_one_point_tracer_on_a_desk_scene():
+    sc = desk_scenario(min_paths=1)
+    seed, t = 0, 30
+    scene = make_scene(sc, seed, t, 40)
+    # per-link path budgets, drawn as generate_dataset draws them
+    n_keep = [int(np.random.default_rng([seed, t, l]).integers(
+        sc.min_paths, sc.max_paths + 1)) for l in range(len(sc.ue_grid))]
+    assert len(set(n_keep)) > 1
+    links = trace_paths(sc, scene, sc.ue_grid, n_keep)
+    assert len(links) == len(sc.ue_grid)
+    dropped = 0
+    for ue, k, got in zip(sc.ue_grid, n_keep, links):
+        try:
+            want = trace_paths(sc, scene, ue, k)
+        except EmptyLink:
+            assert got is None
+            dropped += 1
+            continue
+        _assert_links_equal(got, want)
+    assert 0 < dropped < len(links)
+
+
+def test_grid_tracer_gives_none_where_one_point_raises_empty_link():
+    empty = 0
+    for sc, scene, ue, n_keep in _toy_links():
+        per_link = None if n_keep is None else [n_keep]
+        (got,) = trace_paths(sc, scene, ue[None], per_link)
+        try:
+            want = trace_paths(sc, scene, ue, n_keep)
+        except EmptyLink:
+            assert got is None
+            empty += 1
+            continue
+        _assert_links_equal(got, want)
+    assert empty > 0
+
+
+def test_grid_tracer_shapes():
+    shell = [Box((8.0, -2.0, 0.0), (9.0, 2.0, 30.0)),
+             Box((11.0, -2.0, 0.0), (12.0, 2.0, 30.0)),
+             Box((9.0, -2.0, 0.0), (11.0, 2.0, 30.0))]
+    sc = _tiny_scenario(buildings=shell)
+    inside, outside = sc.ue_grid[0], np.array([-10.0, 0.0, 1.5])
+    with pytest.raises(EmptyLink):
+        trace_paths(sc, Scene(0, []), inside)
+    got = trace_paths(sc, Scene(0, []), np.stack([inside, outside]), [1, 2])
+    assert got[0] is None
+    _assert_links_equal(got[1], trace_paths(sc, Scene(0, []), outside, 2))
+    assert trace_paths(sc, Scene(0, []), np.zeros((0, 3))) == []
+    grid = np.stack([outside, outside])
+    for ue, n_keep in ((np.zeros((2, 2)), None), (np.zeros((2, 3, 1)), None),
+                       (grid, [3]), (grid, [3, 3, 3]), (grid, [[3, 3]]),
+                       (grid, 0), (grid, [2, 1.5])):
+        with pytest.raises(ValueError):
+            trace_paths(sc, Scene(0, []), ue, n_keep)
+
+
+# ----------------------------------------------------------------------
+# golden dataset digests
+# ----------------------------------------------------------------------
+
+def _noisy_40_point_desk():
+    sc = desk_scenario(grid_points=40)
+    sc.noise_snr_db = 15
+    return sc
+
+
+# sha256 of each generate_dataset output, recorded before the tracer was
+# batched per scene: a change that moves any byte of a dataset fails here
+GOLDEN = [
+    (desk_scenario, 8, 1, {
+        "cfr": "82b60214f0ffd1d49a4223df15a7bdf55e9bd321cc9ed3c756a1fa949361204a",
+        "coords": "a8e395c0802d100b8419cb7a877443914cb929d171216bbb32afe340993c342a",
+        "labels": "e663b53e49c87a43cdd1a9a4f178148b2e3b4f0230f57eeaea79a6f8acf9b23a",
+        "scene_ids": "04e73447290c89f09c538b4cc8f72a4aed72bc7ba5c84665b1299f97c6918f2f",
+        "grid_ids": "2101af2ba8f2e95e4f74b2ef862dd5bc52199705a33dec1d21e13f38298c5d84",
+        "dropped": "d54fc9340c6d8008d4a7b2d3fb39dd2c26bbbba48d6802bc5326f06e842fda29"}),
+    (desk_scenario, 40, 0, {
+        "cfr": "886c4835c652e3c1f0c6a6c997c6ec618dfcd1399853e7b0177f76d94b510ab3",
+        "coords": "d6681ffb12c0f9a590726412c9d0199636768301fe4b4ae0c3c780a68444950b",
+        "labels": "fa75293454ba6f27ddae2040a4b4dd46740b0055016a9cdfb086e1aa34d4ae64",
+        "scene_ids": "80517869b4588c8e6dbba8605d5fad9c8fa9820fb8688dfe1cb382d95364efdc",
+        "grid_ids": "05efcf0af06d99614f957fcfd5268e26a43cfc22c0d55189775d9079c1704bc9",
+        "dropped": "0b71108fb87a18aa5307ce1fe2af31a3047b7f49377b0fdf64aaf21e5f38b703"}),
+    (lambda: desk_scenario(min_paths=2, max_paths=6), 6, 3, {
+        "cfr": "edf06c0362e98433fa7196ea44909b90777d99f07ca62e496af73f440558ed62",
+        "coords": "30791ef394b4342f7bf0d86038a1bf85f0597818717b18518d94d1f7da475f22",
+        "labels": "e0533f8087c7f847a43c17e112cb05a005a7aef5e86c4ed7eb25bb6fdd67ab01",
+        "scene_ids": "1b70a577295da6a77da2d1f52612bd292d607b4b79f8bbb5e02b9a76d296fc0e",
+        "grid_ids": "c60f303047c7adb960d5a5619c92e91eac498aefdcea5b4c444c9da33e165418",
+        "dropped": "1a0c96b932b3a91f4d96274c442ba97932402a2f05d5a25f015fc83645f8c2d0"}),
+    (_noisy_40_point_desk, 5, 2, {
+        "cfr": "23b5b5b777d10183fb490ae4181b2ed27cf13eb5332b4ce43a2d6f1df33bd52c",
+        "coords": "acb4909bacdc85a089814aa0753b5a171db125cf8372f5579a3ffbcde7089b5b",
+        "labels": "58d9739028592061fb95bb5fdf1fdb79105787397c28f73d2d0dedfa5c5b7162",
+        "scene_ids": "b48b0e1e224dccf839efc7b9f37af5537863c716bc8a0b231c3fe00238123e0c",
+        "grid_ids": "9b51e0c1b0c1640fe8853a3069469ffdcdddcb7b28c2a9761f9eb921cbaf17c7",
+        "dropped": "842202f9a7dd8b950e18fd9dec36ba8ef9e6b91339f2ae48e0346d5e69b5b571"}),
+    (S.full_scale_scenario, 3, 0, {
+        "cfr": "0e6270f09b8cce98cbaeb3297ec6b1cddcdcb02fd318a46ef0cf832b0367f98c",
+        "coords": "ad6db7cbfce053d242fe89ba32ba64e17e06aa5af4da5c9fbadb3c3251bd8402",
+        "labels": "0b01822061f7572f73b92fba8ad38b758a4e3fad532fa03258937b82674f3909",
+        "scene_ids": "db1b83c7f8c70f2f31e1a303355b0556bb121997b4bb823e4e7bf02afc322791",
+        "grid_ids": "8517bc22000cbe10ff93b0c0265144e1ad90a939aa01a11fed2969f3de6d350a",
+        "dropped": "4d67df85c45c4a95d145c98076ebd26f56987c7732385ad576b8f5590d4c5314"}),
+]
+
+
+@pytest.mark.parametrize("make, n_scenes, seed, want", GOLDEN,
+                         ids=["desk-8-s1", "desk-40-s0", "desk-paths2to6-6-s3",
+                              "desk-40pt-snr15-5-s2", "full-scale-3-s0"])
+def test_generate_dataset_golden_digests(make, n_scenes, seed, want):
+    ds = generate_dataset(make(), n_scenes, seed)
+    got = {k: hashlib.sha256(getattr(ds, k).tobytes()).hexdigest()
+           for k in ("cfr", "coords", "labels", "scene_ids", "grid_ids")}
+    got["dropped"] = hashlib.sha256(
+        json.dumps(ds.manifest["dropped"]).encode()).hexdigest()
+    assert got == want
 
 
 # ----------------------------------------------------------------------
@@ -469,7 +606,6 @@ def test_scenario_validation():
 
 
 def test_scenario_json_round_trip(tmp_path):
-    import json
     sc = desk_scenario(grid_points=10)
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(sc.to_dict()))
