@@ -13,6 +13,18 @@ The conv2d gradients are im2col matmuls plus a col2im scatter, and
 batch_norm is one primitive with the closed-form backward of Ioffe &
 Szegedy (2015) rather than a composite of the elementwise ones.
 
+conv2d, batch_norm and max_pool2d take and return ``[B, C, H, W]``
+arrays, but keep the memory behind them channel-major: the conv's
+``[F, K] @ [K, B*H*W]`` result is returned as a ``[B, F, H, W]`` view of
+its ``[F, B, H, W]`` buffer, batch norm reduces the contiguous channel
+rows of that buffer, and the pool, relu and the gradient buffers
+(``zeros_like``) allocate in their input's order.  So the next conv reads
+its input, and every backward its gradient, without a copy.  Input in
+any other layout gives the same values.  Eval, and 2-D batch norm, are
+byte-equal to the batch-major kernels they replaced; a 4-D batch norm
+in training sums in row order, so training results differ from those
+kernels' by rounding.
+
 Finiteness is checked at the boundaries only: leaf tensors (user data,
 parameters, lifted constants), the loss in ``backward``, and the
 gradients and parameters in ``SGD.step``.  Intermediate values are not
@@ -429,14 +441,16 @@ def conv2d(x, w):
             y, z = max(ph - i, 0), max(pw - j, 0)
             sy, sz = max(i - ph, 0), max(j - pw, 0)
             cols[:, i, j, :, y:y + h, z:z + v] = xt[:, :, sy:sy + h, sz:sz + v]
-    out_data = w.data.reshape(F, -1) @ cols.reshape(C * kh * kw, -1)
-    out_data = np.ascontiguousarray(
-        out_data.reshape(F, B, H, W).transpose(1, 0, 2, 3))
+    # the [F, B*H*W] result is the channel-major output, returned as its
+    # [B, F, H, W] view without a copy
+    out_data = (w.data.reshape(F, -1) @ cols.reshape(C * kh * kw, -1)
+                ).reshape(F, B, H, W).transpose(1, 0, 2, 3)
 
     def _bw(g):
         # both gradients are matmuls against the forward's K-major layout:
         # the weight gradient reads `cols`, the input gradient is scattered
-        # back by col2im (kh*kw shifted adds into a zero-padded buffer)
+        # back by col2im (kh*kw shifted adds into a zero-padded buffer); a
+        # channel-major g reads as [F, B*H*W] without a copy
         gt = g.transpose(1, 0, 2, 3).reshape(F, -1)
         w._accumulate((gt @ cols.reshape(C * kh * kw, -1).T).reshape(w.shape))
         if not x.requires_grad:  # raw input data: nobody reads its gradient
@@ -460,17 +474,20 @@ def max_pool2d(x):
     if H % 2 or W % 2:
         raise ShapeMismatch("max_pool2d requires even spatial dims")
     d = x.data
-    # the four window corners in row-major window order (00, 01, 10, 11)
-    corners = [d[:, :, i::2, j::2] for i in (0, 1) for j in (0, 1)]
+    # max over column pairs, then over row pairs: the same max(max(00, 01),
+    # max(10, 11)) per window as over the four corners, in two passes.
     # np.maximum may not keep the first of a +0.0/-0.0 tie, but a pool input
-    # is batch-norm output gamma*xhat + beta, which is never -0.0
-    out_data = np.maximum(np.maximum(corners[0], corners[1]),
-                          np.maximum(corners[2], corners[3]))
+    # is batch-norm output gamma*xhat + beta, which is never -0.0.  Both
+    # passes allocate in the input's memory order.
+    cmax = np.maximum(d[:, :, :, 0::2], d[:, :, :, 1::2])
+    out_data = np.maximum(cmax[:, :, 0::2], cmax[:, :, 1::2])
 
     def _bw(g):
-        # each window's gradient goes to its first maximum, as argmax picks
+        # each window's gradient goes to its first maximum, as argmax picks;
+        # the corners in row-major window order (00, 01, 10, 11)
+        corners = [d[:, :, i::2, j::2] for i in (0, 1) for j in (0, 1)]
         gx = np.zeros_like(d)
-        taken = np.zeros(out_data.shape, dtype=bool)
+        taken = np.zeros_like(out_data, dtype=bool)
         for k, c in enumerate(corners):
             hit = (c == out_data) & ~taken
             gx[:, :, k // 2::2, k % 2::2] = np.where(hit, g, 0.0)
@@ -496,31 +513,48 @@ def batch_norm(x, gamma, beta, running_mean, running_var, *, training):
     numpy arrays `running_mean` / `running_var` are updated in place; in
     eval mode the op is a deterministic affine map of the running stats.
 
+    4-D input is read as one contiguous row per channel, ``[C, B*H*W]``:
+    a free view of channel-major memory (what conv2d returns), a copy of
+    any other layout.  The output, and the input gradient, are the
+    ``[B, C, H, W]`` views of channel-major buffers.
+
     The forward repeats, in place, the numpy operations of the composite
     batch norm it replaced (mean as sum * (1/n), ``** -0.5`` in training,
-    ``1 / sqrt`` in eval), so outputs and running statistics stay
-    byte-equal and a checkpoint evaluates as before.  The backward is the
-    closed form of Ioffe & Szegedy (2015): with xhat the normalized input
-    and n the count per channel, dgamma = sum(g * xhat), dbeta = sum(g)
-    and, in training mode, dx = gamma * rstd * (g - dbeta/n - xhat *
-    dgamma/n).
+    ``1 / sqrt`` in eval).  Eval and 2-D training are byte-equal to that
+    composite, so a checkpoint evaluates as before; 4-D training sums
+    each channel's contiguous row, so it is byte-equal to the composite
+    applied to the ``[C, B*H*W]`` rows and differs from the ``[B, C, H,
+    W]`` composite by summation rounding.  The backward is the closed
+    form of Ioffe & Szegedy (2015): with xhat the normalized input and n
+    the count per channel, dgamma = sum(g * xhat), dbeta = sum(g) and,
+    in training mode, dx = gamma * rstd * (g - dbeta/n - xhat * dgamma/n).
     """
     x = _lift(x)
     if x.ndim == 4:
-        axes, bshape = (0, 2, 3), (1, -1, 1, 1)
+        B, C, H, W = x.shape
+
+        def rows(a):
+            return a.transpose(1, 0, 2, 3).reshape(C, -1)
+
+        def unrows(a):
+            return a.reshape(C, B, H, W).transpose(1, 0, 2, 3)
+
+        axis, bshape = 1, (-1, 1)
     elif x.ndim == 2:
-        axes, bshape = (0,), (1, -1)
+        rows = unrows = lambda a: a
+        axis, bshape = 0, (1, -1)
     else:
         raise ShapeMismatch("batch_norm expects 2-D or 4-D input")
-    n = x.data.size // x.shape[1]
+    xd = rows(x.data)
+    n = xd.shape[axis]
     g_b, b_b = gamma.data.reshape(bshape), beta.data.reshape(bshape)
 
     if training:
-        mu = x.data.sum(axis=axes, keepdims=True) * (1.0 / n)
-        xhat = x.data - mu
+        mu = xd.sum(axis=axis, keepdims=True) * (1.0 / n)
+        xhat = xd - mu
         out_data = np.multiply(xhat, xhat)
         # biased batch variance, folded into the running estimate
-        var = out_data.sum(axis=axes, keepdims=True) * (1.0 / n)
+        var = out_data.sum(axis=axis, keepdims=True) * (1.0 / n)
         running_mean *= 1.0 - BN_MOMENTUM
         running_mean += BN_MOMENTUM * mu.reshape(-1)
         running_var *= 1.0 - BN_MOMENTUM
@@ -533,15 +567,16 @@ def batch_norm(x, gamma, beta, running_mean, running_var, *, training):
         # one buffer and no xhat kept: the backward recomputes it
         rm = running_mean.reshape(bshape)
         rstd = (1.0 / np.sqrt(running_var + BN_EPS)).reshape(bshape)
-        out_data = x.data - rm
+        out_data = xd - rm
         out_data *= rstd
         out_data *= g_b
         out_data += b_b
 
     def _bw(g):
-        dbeta = g.sum(axis=axes)
-        gx = g * (xhat if training else (x.data - rm) * rstd)
-        dgamma = gx.sum(axis=axes)
+        g = rows(g)
+        dbeta = g.sum(axis=axis)
+        gx = g * (xhat if training else (xd - rm) * rstd)
+        dgamma = gx.sum(axis=axis)
         gamma._accumulate(dgamma)
         beta._accumulate(dbeta)
         if not x.requires_grad:
@@ -553,9 +588,9 @@ def batch_norm(x, gamma, beta, running_mean, running_var, *, training):
             gx *= g_b * rstd
         else:
             np.multiply(g, g_b * rstd, out=gx)
-        x._accumulate(gx)
+        x._accumulate(unrows(gx))
 
-    return Tensor(out_data, _parents=(x, gamma, beta), _backward=_bw)
+    return Tensor(unrows(out_data), _parents=(x, gamma, beta), _backward=_bw)
 
 
 # ----------------------------------------------------------------------

@@ -447,8 +447,10 @@ def generate_dataset(scenario, n_scenes, seed):
     """
     if n_scenes < 1:
         raise ValueError("need at least one scene")
-    cfrs, coords, labels, scene_ids, grid_ids, dropped = [], [], [], [], [], []
+    # trace every scene first (each link's MpcSet is small), then write
+    # each surviving link's CFR straight into the one preallocated array
     grid = scenario.ue_grid
+    traced = []
     for t in range(n_scenes):
         scene = make_scene(scenario, seed, t, n_scenes)
         n_keep = scenario.max_paths
@@ -456,51 +458,50 @@ def generate_dataset(scenario, n_scenes, seed):
             n_keep = [int(np.random.default_rng([int(seed), t, l]).integers(
                 scenario.min_paths, scenario.max_paths + 1))
                 for l in range(len(grid))]
-        links = trace_paths(scenario, scene, grid, n_keep)
-        for l, (ue, link) in enumerate(zip(grid, links)):
-            if link is None:
-                dropped.append([t, l])
-                continue
-            mpcs, label = link
-            h = synth_cfr(mpcs, scenario)
-            if scenario.noise_snr_db is not None:
-                noise_rng = np.random.default_rng([int(seed), t, l, 7])
-                h = _add_noise(h, scenario.noise_snr_db, noise_rng)
-            cfrs.append(h)
-            coords.append(ue)
-            labels.append(label)
-            scene_ids.append(t)
-            grid_ids.append(l)
+        traced.append(trace_paths(scenario, scene, grid, n_keep))
+    kept = [(t, l) for t, links in enumerate(traced)
+            for l, link in enumerate(links) if link is not None]
+    dropped = [[t, l] for t, links in enumerate(traced)
+               for l, link in enumerate(links) if link is None]
 
-    cfr = np.stack(cfrs) if cfrs else np.zeros((0, scenario.array.size,
-                                                scenario.n_subcarriers), complex)
+    cfr = np.empty((len(kept), scenario.array.size, scenario.n_subcarriers),
+                   complex)
+    labels = np.empty(len(kept), np.uint8)
+    for i, (t, l) in enumerate(kept):
+        mpcs, labels[i] = traced[t][l]
+        cfr[i] = synth_cfr(mpcs, scenario)
+        if scenario.noise_snr_db is not None:
+            noise_rng = np.random.default_rng([int(seed), t, l, 7])
+            _add_noise(cfr[i], scenario.noise_snr_db, noise_rng)
+    scene_ids = np.array([t for t, _ in kept], np.int64)
+    grid_ids = np.array([l for _, l in kept], np.int64)
     manifest = {
         "scenario": scenario.to_dict(),
         "n_scenes": int(n_scenes),
         "seed": int(seed),
-        "n_samples": len(coords),
+        "n_samples": len(kept),
         "dropped": dropped,
-        "scene_of_sample": [int(s) for s in scene_ids],
-        "grid_of_sample": [int(g) for g in grid_ids],
-        "cfr_shape": [len(coords), scenario.array.size, scenario.n_subcarriers],
+        "scene_of_sample": scene_ids.tolist(),
+        "grid_of_sample": grid_ids.tolist(),
+        "cfr_shape": list(cfr.shape),
         "cfr_dtype": "complex64 (interleaved re/im float32)",
         "byte_order": "little-endian",
         "layout": "[sample][antenna][subcarrier]; antennas iy-major, iz-minor",
     }
     return Dataset(cfr=cfr,
-                   coords=np.asarray(coords, float).reshape(-1, 3),
-                   labels=np.asarray(labels, np.uint8),
-                   scene_ids=np.asarray(scene_ids, np.int64),
-                   grid_ids=np.asarray(grid_ids, np.int64),
+                   coords=grid[grid_ids],
+                   labels=labels, scene_ids=scene_ids, grid_ids=grid_ids,
                    manifest=manifest)
 
 
 def _add_noise(h, snr_db, rng):
+    """Add complex white Gaussian noise `snr_db` below h's mean power, in
+    place."""
     sig_power = np.mean(np.abs(h) ** 2)
     noise_power = sig_power * 10.0 ** (-snr_db / 10.0)
     scale = np.sqrt(noise_power / 2.0)
-    return h + scale * (rng.standard_normal(h.shape)
-                        + 1j * rng.standard_normal(h.shape))
+    h += scale * (rng.standard_normal(h.shape)
+                  + 1j * rng.standard_normal(h.shape))
 
 
 # ----------------------------------------------------------------------

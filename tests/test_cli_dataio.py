@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from semloc import cli, dataio, training
-from semloc.models import Model
+from semloc.models import ArchConfig, Model
 from semloc.scenario import (ArrayGeometry, Dataset, Scenario, desk_scenario,
                              generate_dataset)
 
@@ -106,6 +106,37 @@ def test_checkpoint_round_trip_and_sorted_order(tmp_path):
     # params.bin is the float64 concatenation in sorted-name order
     blob = np.fromfile(tmp_path / "ck" / "params.bin", dtype="<f8")
     np.testing.assert_array_equal(blob[:4], params["a.w"])
+
+
+@settings(derandomize=True, deadline=None, max_examples=10)
+@given(channels=st.lists(st.integers(1, 3), min_size=1, max_size=2),
+       widths=st.lists(st.integers(1, 4), min_size=1, max_size=2),
+       scale=st.sampled_from([1e-300, 1.0, 1e300]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_property_checkpoint_round_trip(channels, widths, scale, seed):
+    arch = ArchConfig(conv_channels=channels, mlp_widths=widths,
+                      input_shape=(1, 4, 8))
+    model = Model(arch, seed=0)
+    rng = np.random.default_rng(seed)
+    for p in model.params.values():
+        p.data = scale * rng.normal(size=p.data.shape)
+    for name, stat in model.running.items():
+        model.running[name] = scale * rng.random(stat.shape)
+    with tempfile.TemporaryDirectory() as out:
+        dataio.save_checkpoint(out, model.state_dict(),
+                               {"arch": arch.to_dict()})
+        state, manifest = dataio.load_checkpoint(out)
+    back = Model(ArchConfig.from_dict(manifest["arch"]), seed=1)
+    back.load_state_dict(state)
+    assert back.params.keys() == model.params.keys()
+    assert back.running.keys() == model.running.keys()
+    for name, p in model.params.items():
+        assert back.params[name].data.dtype == np.float64
+        assert back.params[name].data.shape == p.data.shape
+        assert back.params[name].data.tobytes() == p.data.tobytes(), name
+    for name, stat in model.running.items():
+        assert back.running[name].shape == stat.shape
+        assert back.running[name].tobytes() == stat.tobytes(), name
 
 
 def test_directory_lock_blocks_second_writer(tmp_path):

@@ -4,10 +4,12 @@ Forward values are compared against independent numpy oracles (nested-loop
 convolution, hand unrolled optimizer steps); gradients are compared against
 central finite differences through `engine.grad_check`.  The strided-slice
 max-pool, the im2col conv forward and the fused batch-norm forward must
-match the kernels they replaced (kept here as oracles) byte for byte; the
-im2col/col2im conv gradients and the closed-form batch-norm backward must
-match theirs to 1e-10.  Hypothesis draws small random shapes for the
-batch-norm and conv checks.
+match the kernels they replaced (kept here as oracles) byte for byte; in
+4-D training the batch-norm oracle is the composite over the channel rows
+[C, B*H*W], which batch norm reduces.  The im2col/col2im conv gradients
+and the closed-form batch-norm backward must match theirs to 1e-10.
+Hypothesis draws small random shapes for the batch-norm, conv and
+broadcasting-gradient checks.
 """
 
 import functools
@@ -328,11 +330,13 @@ def conv2d_tensordot_grads(x, w, g):
 
 
 def batch_norm_composite(x, gamma, beta, running_mean, running_var, *,
-                         training):
+                         training, axes=None):
     """The batch norm built from engine primitives that the fused primitive
-    replaced; its adjoints come from about ten graph nodes."""
-    axes, bshape = ((0, 2, 3), (1, -1, 1, 1)) if x.ndim == 4 \
-        else ((0,), (1, -1))
+    replaced; its adjoints come from about ten graph nodes.  `axes` are the
+    reduced axes, by default every axis but the channel axis 1."""
+    if axes is None:
+        axes = (0, 2, 3) if x.ndim == 4 else (0,)
+    bshape = tuple(1 if i in axes else -1 for i in range(x.ndim))
     if training:
         mu = E.tmean(x, axis=axes, keepdims=True)
         xc = x - mu
@@ -452,9 +456,24 @@ def _bn_case(rng, shape):
             rng.normal(size=shape))
 
 
+def _channel_rows(a):
+    """[B, C, H, W] -> its C-contiguous channel rows [C, B*H*W]."""
+    return np.ascontiguousarray(a.transpose(1, 0, 2, 3).reshape(a.shape[1], -1))
+
+
 def _check_bn_against_composite(case, training):
     got = _bn_run(E.batch_norm, *case, training)
     want = _bn_run(batch_norm_composite, *case, training)
+    x, gamma, beta, rm, rv, g = case
+    if training and x.ndim == 4:
+        # 4-D training sums each channel's contiguous row, so its output
+        # and running stats are those of the composite over [C, B*H*W]
+        # rows; the gradients are still held to the [B, C, H, W] composite
+        B, C, H, W = x.shape
+        out, rm, rv, _ = _bn_run(
+            functools.partial(batch_norm_composite, axes=(1,)),
+            _channel_rows(x), gamma, beta, rm, rv, _channel_rows(g), training)
+        want = (out.reshape(C, B, H, W).transpose(1, 0, 2, 3), rm, rv, want[3])
     for a, b in zip(got[:3], want[:3]):  # output and running stats
         assert a.tobytes() == b.tobytes()
     for a, b in zip(got[3], want[3]):
@@ -530,6 +549,35 @@ def test_property_conv2d_matches_tensordot_and_finite_differences(
               "w": Tensor(k, requires_grad=True)}
     assert grad_check(lambda: weighted(E.conv2d(*params.values()), g),
                       params) < 1e-6
+
+
+@st.composite
+def broadcast_shapes(draw):
+    """A full shape and one that broadcasts to it: some leading axes
+    missing, some of the others of size 1."""
+    full = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)))
+    rest = full[draw(st.integers(0, len(full))):]
+    return full, tuple(1 if draw(st.booleans()) else n for n in rest)
+
+
+@PROPERTY
+@given(op=st.sampled_from([E.add, E.mul, E.div]), shapes=broadcast_shapes(),
+       small_first=st.booleans(), seed=SEEDS)
+def test_property_broadcast_gradients_match_finite_differences(
+        op, shapes, small_first, seed):
+    rng = np.random.default_rng(seed)
+    full, small = shapes
+    a_shape, b_shape = (small, full) if small_first else (full, small)
+    # the divisor stays in +-[0.5, 2], away from zero
+    params = {"a": Tensor(rng.normal(size=a_shape), requires_grad=True),
+              "b": Tensor(rng.choice([-1.0, 1.0], size=b_shape)
+                          * rng.uniform(0.5, 2.0, size=b_shape),
+                          requires_grad=True)}
+    c = rng.normal(size=full)
+    assert grad_check(lambda: weighted(op(*params.values()), c),
+                      params) < 1e-6
+    for p in params.values():
+        assert p.grad.shape == p.data.shape
 
 
 # ----------------------------------------------------------------------

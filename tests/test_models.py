@@ -1,9 +1,11 @@
 """Tests for network assembly: shapes, initialization determinism,
-closed-form parameter counts, and eval-mode invariances."""
+closed-form parameter counts, eval-mode invariances, and the channel-major
+memory layout of the extractor's activations."""
 
 import numpy as np
 import pytest
 
+from semloc import engine
 from semloc.engine import ShapeMismatch
 from semloc.models import ArchConfig, Model
 
@@ -141,3 +143,42 @@ def test_arch_round_trip_and_describe():
     assert ArchConfig.from_dict(old) == ARCH
     text = Model(ARCH, seed=0).describe()
     assert "theta1.conv0" in text and "total parameters" in text
+
+
+GATE_ARCH = ArchConfig(conv_channels=[4, 8, 8, 16], mlp_widths=[32, 16],
+                       input_shape=(1, 16, 32))
+
+
+def _channel_major(a):
+    """A [B, C, H, W] array over C-contiguous [C, B, H, W] memory."""
+    return a.ndim == 4 and a.transpose(1, 0, 2, 3).flags.c_contiguous
+
+
+@pytest.mark.parametrize("train", [True, False])
+def test_theta1_activations_and_gradients_are_channel_major(monkeypatch,
+                                                            train):
+    # every theta1 output, and the gradient that reaches it, stays in
+    # channel-major memory; a copy back to batch-major layout fails here
+    seen = []
+    for name in ("conv2d", "batch_norm", "max_pool2d", "relu"):
+        def record(*args, _fn=getattr(engine, name), _name=name, **kwargs):
+            out = _fn(*args, **kwargs)
+            if out.ndim == 4:
+                seen.append((_name, out))
+            return out
+        monkeypatch.setattr(engine, name, record)
+    model = Model(GATE_ARCH, seed=0)
+    rng = np.random.default_rng(0)
+    if train:
+        out = model.forward(rng.random((64, 1, 16, 32)), train=True)
+        w = engine.constant(rng.random(out.probs.shape))
+        ((out.coords * out.coords).sum() + (out.probs * w).sum()).backward()
+    else:
+        with engine.no_grad():
+            model.forward(rng.random((256, 1, 16, 32)), train=False)
+    assert [name for name, _ in seen] == \
+        ["conv2d", "batch_norm", "max_pool2d", "relu"] * 4
+    for i, (name, t) in enumerate(seen):
+        assert _channel_major(t.data), (i, name)
+        if train:
+            assert _channel_major(t.grad), (i, name)
