@@ -128,6 +128,17 @@ class Scenario:
                 or len(self.ue_grid) < 1:
             raise ValueError(f"ue_grid must be [L, 3] with L >= 1, not "
                              f"{list(self.ue_grid.shape)}")
+        if not np.isfinite(self.ue_grid).all():
+            raise ValueError("ue_grid must hold finite coordinates")
+        if not (_is_finite_number(self.grid_spacing) and self.grid_spacing > 0):
+            raise ValueError(f"grid_spacing must be finite and > 0, not "
+                             f"{self.grid_spacing!r}")
+        for box in self.buildings:
+            if not (all(len(c) == 3 and all(map(_is_finite_number, c))
+                        for c in (box.lo, box.hi))
+                    and all(l <= h for l, h in zip(box.lo, box.hi))):
+                raise ValueError(f"a building needs 3 finite numbers in each "
+                                 f"of lo and hi, with lo <= hi, not {box}")
         if not (_is_int(self.max_paths) and self.max_paths >= 1):
             raise ValueError(f"max_paths must be an integer >= 1, not "
                              f"{self.max_paths!r}")
@@ -144,10 +155,19 @@ class Scenario:
                              f"{list(self.bs_position)!r}")
         for lane in self.lanes:
             if not (_is_finite_number(lane.density) and lane.density >= 0
-                    and all(map(_is_finite_number, (lane.x_min, lane.x_max)))
-                    and lane.x_min <= lane.x_max):
-                raise ValueError(f"a lane needs a finite density >= 0 and "
-                                 f"finite x_min <= x_max, not {lane}")
+                    and all(map(_is_finite_number, (lane.y_center, lane.x_min,
+                                                    lane.x_max)))
+                    and lane.x_min <= lane.x_max
+                    and _is_finite_number(lane.truck_fraction)
+                    and 0 <= lane.truck_fraction <= 1):
+                raise ValueError(f"a lane needs a finite density >= 0, finite "
+                                 f"y_center and x_min <= x_max, and a "
+                                 f"truck_fraction in [0, 1], not {lane}")
+        # density scales by 1 + drift * frac, frac in [0, 1]
+        if not (_is_finite_number(self.traffic_drift)
+                and self.traffic_drift >= -1):
+            raise ValueError(f"traffic_drift must be finite and >= -1, not "
+                             f"{self.traffic_drift!r}")
         if not (_is_finite_number(self.reflection_coeff)
                 and self.reflection_coeff >= 0):
             raise ValueError(f"reflection_coeff must be finite and "
@@ -234,14 +254,31 @@ def steering_vector(azimuth, elevation, array):
 
 
 def synth_cfr(mpcs, scenario):
-    """Channel matrix H [M, K]: column k = sum_p gain_p a_p exp(-2j pi f_k tau_p)."""
-    if len(mpcs) == 0:
+    """Channel matrix H [M, K]: column k = sum_p gain_p a_p exp(-2j pi f_k tau_p).
+
+    `mpcs` is one MpcSet, giving [M, K], or a sequence of n of them (a
+    scene's links), giving [n, M, K].  The scene form computes every
+    steering vector and phase in one pass over the concatenated paths,
+    then runs one [M, P] @ [P, K] matmul per link, so each link's bytes
+    equal its one-link call.
+    """
+    links = [mpcs] if isinstance(mpcs, MpcSet) else list(mpcs)
+    counts = np.array([len(m) for m in links], int)
+    if (counts == 0).any():
         raise EmptyLink("cannot synthesize CFR from an empty path set")
-    a_mat = steering_vector(mpcs.azimuths, mpcs.elevations,
-                            scenario.array)  # [M, P]
+    gains, azimuths, elevations, delays = (
+        np.concatenate([getattr(m, name) for m in links])
+        for name in ("gains", "azimuths", "elevations", "delays"))
+    a_mat = steering_vector(azimuths, elevations, scenario.array)  # [M, P]
+    a_mat *= gains[None, :]
     freqs = scenario.subcarrier_freqs()
-    phases = np.exp(-2j * np.pi * np.outer(mpcs.delays, freqs))  # [P, K]
-    return (a_mat * mpcs.gains[None, :]) @ phases
+    phases = np.exp(-2j * np.pi * np.outer(delays, freqs))  # [P, K]
+    out = np.empty((len(links), scenario.array.size, scenario.n_subcarriers),
+                   complex)
+    ends = np.cumsum(counts)
+    for h, a, b in zip(out, ends - counts, ends):
+        np.matmul(a_mat[:, a:b], phases[a:b], out=h)
+    return out[0] if isinstance(mpcs, MpcSet) else out
 
 
 # ----------------------------------------------------------------------
@@ -265,13 +302,16 @@ def segments_hit_boxes(p0, p1, boxes_lo, boxes_hi):
         with np.errstate(divide="ignore", invalid="ignore"):
             t0 = (lo - o) / da
             t1 = (hi - o) / da
-        # an axis with zero direction: inside the slab iff o within [lo, hi]
-        inside = (o >= lo) & (o <= hi)
-        zero = da == 0.0
-        np.maximum(enter, np.where(zero, np.where(inside, -np.inf, np.inf),
-                                   np.minimum(t0, t1)), out=enter)
-        np.minimum(leave, np.where(zero, np.where(inside, np.inf, -np.inf),
-                                   np.maximum(t0, t1)), out=leave)
+        near, far = np.minimum(t0, t1), np.maximum(t0, t1)
+        # a segment with no extent on this axis (rare): inside the slab
+        # iff its origin lies within [lo, hi]
+        zero = np.flatnonzero(da[:, 0] == 0.0)
+        if len(zero):
+            inside = (o[zero] >= lo) & (o[zero] <= hi)
+            near[zero] = np.where(inside, -np.inf, np.inf)
+            far[zero] = np.where(inside, np.inf, -np.inf)
+        np.maximum(enter, near, out=enter)
+        np.minimum(leave, far, out=leave)
     return leave - enter > 1e-12
 
 
@@ -302,23 +342,25 @@ def _specular_points(bs, ue, boxes_lo, boxes_hi):
     """
     plane = np.stack([boxes_lo, boxes_hi], axis=-1)     # [B, axis, face]
     sign = np.array([-1.0, 1.0])
-    ue_axis = ue[:, None, :, None]                       # [L, 1, axis, 1]
     facing = ((sign * (bs[:, None] - plane) > 1e-9)
-              & (sign * (ue_axis - plane) > 1e-9))       # [L, B, axis, face]
-    # the BS mirrored in each face plane, [B, axis, face, coord]
-    mirrored = 2.0 * plane - bs[:, None]
-    on_axis = np.eye(3, dtype=bool)[:, None, :]          # [axis, 1, coord]
-    img = np.where(on_axis, mirrored[..., None], bs)
-    d = ue[:, None, None, None, :] - img      # [L, B, axis, face, coord]
-    d_axis = ue_axis - mirrored
+              & (sign * (ue[:, None, :, None] - plane) > 1e-9))
+    # only candidates facing both ends, in C order of [L, B, axis, face]
+    link, box, axis, face = np.nonzero(facing)
+    plane = plane[box, axis, face]
+    # the BS mirrored in each face plane
+    mirrored = 2.0 * plane - bs[axis]
+    on_axis = axis[:, None] == np.arange(3)              # [R, coord]
+    img = np.where(on_axis, mirrored[:, None], bs)
+    d = ue[link] - img
+    d_axis = d[np.arange(len(axis)), axis]
     with np.errstate(divide="ignore", invalid="ignore"):
         t = (plane - mirrored) / d_axis
-        q = img + t[..., None] * d
-    in_face = ((boxes_lo[:, None, None, :] - 1e-9 <= q)
-               & (q <= boxes_hi[:, None, None, :] + 1e-9)) | on_axis
-    valid = (facing & (np.abs(d_axis) >= 1e-12) & (0.0 < t) & (t < 1.0)
+        q = img + t[:, None] * d
+    in_face = ((boxes_lo[box] - 1e-9 <= q) & (q <= boxes_hi[box] + 1e-9)) \
+        | on_axis
+    valid = ((np.abs(d_axis) >= 1e-12) & (0.0 < t) & (t < 1.0)
              & in_face.all(axis=-1))
-    return q[valid], np.nonzero(valid)[0]
+    return q[valid], link[valid]
 
 
 def trace_paths(scenario, scene, ue, n_keep=None):
@@ -448,7 +490,7 @@ def generate_dataset(scenario, n_scenes, seed):
     if n_scenes < 1:
         raise ValueError("need at least one scene")
     # trace every scene first (each link's MpcSet is small), then write
-    # each surviving link's CFR straight into the one preallocated array
+    # each scene's CFRs straight into the one preallocated array
     grid = scenario.ue_grid
     traced = []
     for t in range(n_scenes):
@@ -466,13 +508,17 @@ def generate_dataset(scenario, n_scenes, seed):
 
     cfr = np.empty((len(kept), scenario.array.size, scenario.n_subcarriers),
                    complex)
-    labels = np.empty(len(kept), np.uint8)
-    for i, (t, l) in enumerate(kept):
-        mpcs, labels[i] = traced[t][l]
-        cfr[i] = synth_cfr(mpcs, scenario)
-        if scenario.noise_snr_db is not None:
+    labels = np.array([traced[t][l][1] for t, l in kept], np.uint8)
+    i = 0
+    for links in traced:
+        mpcs = [link[0] for link in links if link is not None]
+        if mpcs:
+            cfr[i:i + len(mpcs)] = synth_cfr(mpcs, scenario)
+            i += len(mpcs)
+    if scenario.noise_snr_db is not None:
+        for h, (t, l) in zip(cfr, kept):
             noise_rng = np.random.default_rng([int(seed), t, l, 7])
-            _add_noise(cfr[i], scenario.noise_snr_db, noise_rng)
+            _add_noise(h, scenario.noise_snr_db, noise_rng)
     scene_ids = np.array([t for t, _ in kept], np.int64)
     grid_ids = np.array([l for _, l in kept], np.int64)
     manifest = {

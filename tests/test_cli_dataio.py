@@ -219,6 +219,48 @@ def test_cli_usage_errors_exit_2(tmp_path, capsys):
         assert not out.exists()
 
 
+def _bad_geometry(desk):
+    """Scenario dicts whose geometry or traffic values gen must refuse."""
+    building, lane = desk["buildings"][0], desk["lanes"][0]
+    lo, hi = building["lo"], building["hi"]
+    return {
+        "lo-2-coords": {"buildings": [{**building, "lo": lo[:2]}]},
+        "lo-string": {"buildings": [{**building, "lo": ["a", *lo[1:]]}]},
+        "lo-above-hi": {"buildings": [{**building, "lo": hi, "hi": lo}]},
+        "truck-string": {"lanes": [{**lane, "truck_fraction": "x"}]},
+        "truck-2": {"lanes": [{**lane, "truck_fraction": 2}]},
+        "y-center-string": {"lanes": [{**lane, "y_center": "x"}]},
+        "drift-minus-5": {"traffic_drift": -5},
+        "grid-nan": {"ue_grid": [[np.nan, 5.5, 1.5], *desk["ue_grid"][1:]]},
+        "spacing-string": {"grid_spacing": "x"},
+    }
+
+
+_DESK_10 = desk_scenario(grid_points=10).to_dict()
+
+
+@pytest.mark.parametrize("case", list(_bad_geometry(_DESK_10)))
+def test_cli_gen_refuses_malformed_geometry(case, tmp_path, capsys):
+    # each once crashed with a traceback or wrote a dataset
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({**_DESK_10, **_bad_geometry(_DESK_10)[case]}))
+    out = tmp_path / "out"
+    assert cli.main(["gen", "--scenario", str(path), "--out", str(out)]) == 2
+    assert_one_error_line(capsys, "semloc: --scenario: ")
+    assert not out.exists()
+
+
+def test_cli_dataset_with_malformed_geometry_exits_4(dataset, tmp_path,
+                                                      capsys):
+    ds_dir, ckpt = save_untrained_run(dataset, tmp_path)
+    path = tmp_path / "ds" / "manifest.json"
+    manifest = json.loads(path.read_text())
+    path.write_text(json.dumps({**manifest, "scenario": {
+        **manifest["scenario"], "traffic_drift": -5}}))
+    assert cli.main(["eval", "--ckpt", ckpt, "--data", ds_dir]) == 4
+    assert_one_error_line(capsys, f"semloc: {path}: scenario")
+
+
 def test_cli_gen_train_eval_report_pipeline(tmp_path, capsys, monkeypatch):
     ds_dir = str(tmp_path / "ds")
     assert cli.main(["gen", "--scenes", "6", "--seed", "2",

@@ -7,9 +7,11 @@ for determinism and semantic-label correctness.
 
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from semloc import scenario as S
 from semloc.scenario import (DNLOS, LOS, SNLOS, SPEED_OF_LIGHT, ArrayGeometry,
@@ -108,6 +110,26 @@ def test_synth_cfr_empty_path_set_raises():
         synth_cfr(empty, sc)
 
 
+@pytest.mark.parametrize("make", [desk_scenario, S.full_scale_scenario])
+def test_synth_cfr_scene_form_equals_one_link_calls(make):
+    sc = make()
+    links = [link[0] for link in trace_paths(sc, make_scene(sc, 1, 3, 8),
+                                             sc.ue_grid) if link is not None]
+    assert len(links) > 100 and len({len(m) for m in links}) > 1
+    got = synth_cfr(links, sc)
+    want = np.stack([synth_cfr(m, sc) for m in links])
+    assert got.shape == (len(links), sc.array.size, sc.n_subcarriers)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_synth_cfr_scene_form_with_an_empty_link_raises():
+    sc = _tiny_scenario()
+    (link, _), = trace_paths(sc, Scene(0, []), sc.ue_grid)
+    empty = MpcSet(np.zeros(0, complex), np.zeros(0), np.zeros(0), np.zeros(0))
+    with pytest.raises(EmptyLink):
+        synth_cfr([link, empty, link], sc)
+
+
 # ----------------------------------------------------------------------
 # segment / box intersection
 # ----------------------------------------------------------------------
@@ -150,6 +172,114 @@ def test_segment_parallel_to_slab_axis():
     assert not segments_hit_boxes(p0, p1, lo, hi)[0, 0]
     p0, p1 = np.array([-2.0, 0.5, 0.5]), np.array([2.0, 0.5, 0.5])
     assert segments_hit_boxes(p0, p1, lo, hi)[0, 0]
+
+
+# ----------------------------------------------------------------------
+# the geometry kernels against their earlier forms
+# ----------------------------------------------------------------------
+
+def _where_hits_oracle(p0, p1, boxes_lo, boxes_hi):
+    """segments_hit_boxes as first vectorized: every slab bound goes
+    through nested np.where on the zero-direction mask."""
+    p0 = np.atleast_2d(np.asarray(p0, float))
+    p1 = np.atleast_2d(np.asarray(p1, float))
+    d = p1 - p0
+    enter = np.full((len(p0), len(boxes_lo)), S._SEG_EPS)
+    leave = np.full_like(enter, 1.0 - S._SEG_EPS)
+    for a in range(3):
+        o, da = p0[:, a, None], d[:, a, None]
+        lo, hi = boxes_lo[:, a], boxes_hi[:, a]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t0 = (lo - o) / da
+            t1 = (hi - o) / da
+        inside = (o >= lo) & (o <= hi)
+        zero = da == 0.0
+        np.maximum(enter, np.where(zero, np.where(inside, -np.inf, np.inf),
+                                   np.minimum(t0, t1)), out=enter)
+        np.minimum(leave, np.where(zero, np.where(inside, np.inf, -np.inf),
+                                   np.maximum(t0, t1)), out=leave)
+    return leave - enter > 1e-12
+
+
+def _dense_specular_oracle(bs, ue, boxes_lo, boxes_hi):
+    """_specular_points as first vectorized: the whole [L, B, axis, face]
+    candidate array, masked at the end."""
+    plane = np.stack([boxes_lo, boxes_hi], axis=-1)
+    sign = np.array([-1.0, 1.0])
+    ue_axis = ue[:, None, :, None]
+    facing = ((sign * (bs[:, None] - plane) > 1e-9)
+              & (sign * (ue_axis - plane) > 1e-9))
+    mirrored = 2.0 * plane - bs[:, None]
+    on_axis = np.eye(3, dtype=bool)[:, None, :]
+    img = np.where(on_axis, mirrored[..., None], bs)
+    d = ue[:, None, None, None, :] - img
+    d_axis = ue_axis - mirrored
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = (plane - mirrored) / d_axis
+        q = img + t[..., None] * d
+    in_face = ((boxes_lo[:, None, None, :] - 1e-9 <= q)
+               & (q <= boxes_hi[:, None, None, :] + 1e-9)) | on_axis
+    valid = (facing & (np.abs(d_axis) >= 1e-12) & (0.0 < t) & (t < 1.0)
+             & in_face.all(axis=-1))
+    return q[valid], np.nonzero(valid)[0]
+
+
+# half-meter lattice points make axis-parallel segments, endpoints on box
+# faces and boxes sharing faces common; decimetre points make specular
+# points land on face edges up to rounding; free floats cover the rest,
+# with magnitudes below 1e-6 flushed to zero so no segment extent is
+# subnormal (which would overflow the slab division)
+_COORD = st.one_of(st.integers(-4, 4).map(lambda v: v / 2.0),
+                   st.integers(-20, 20).map(lambda v: v / 10.0),
+                   st.floats(-2.0, 2.0).map(lambda v: v if abs(v) > 1e-6
+                                            else 0.0))
+_POINT = st.tuples(_COORD, _COORD, _COORD)
+_SIZE = st.one_of(st.integers(0, 4).map(lambda v: v / 2.0),
+                  st.integers(0, 20).map(lambda v: v / 10.0))
+_BOX = st.tuples(_POINT, st.tuples(_SIZE, _SIZE, _SIZE))
+# a segment's end, or None for a zero-length segment
+_SEGMENT = st.tuples(_POINT, st.one_of(st.none(), _POINT))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(boxes=st.lists(_BOX, max_size=4),
+       segments=st.lists(_SEGMENT, min_size=1, max_size=8),
+       bs=_POINT, ues=st.lists(_POINT, min_size=1, max_size=6))
+# boxes sharing the x = 1 face; axis-parallel, on-face and zero-length
+# segments
+@example(boxes=[((0.0, 0.0, 0.0), (1.0, 1.0, 1.0)),
+                ((1.0, 0.0, 0.0), (1.0, 1.0, 1.0))],
+         segments=[((-1.0, 0.5, 0.5), (3.0, 0.5, 0.5)),
+                   ((1.0, 0.5, 0.5), (1.0, 0.5, 2.0)),
+                   ((1.0, 1.0, 1.0), None), ((0.5, 0.5, 0.5), None)],
+         bs=(-1.0, 0.5, 2.0), ues=[(3.0, 0.5, 2.0), (1.0, -1.0, 0.5)])
+# two UEs that both see two faces: (UE, box) and (box, UE) orders differ
+@example(boxes=[((-2.0, -2.0, -1.0), (8.0, 4.0, 1.0)),
+                ((6.0, -2.0, 0.0), (1.0, 4.0, 4.0))],
+         segments=[((0.0, 0.0, 2.0), (6.0, 0.0, 2.0))],
+         bs=(0.0, 0.0, 2.0), ues=[(4.0, 0.0, 1.0), (4.0, 0.0, 1.5)])
+# specular points that leave a face's hi and lo edge by rounding only
+@example(boxes=[((-0.1, -0.6, -1.4), (0.6, 0.5, 0.8)),
+                ((1.6, -1.0, -2.0), (0.5, 0.7, 1.1))],
+         segments=[((-2.6, -2.6, -1.5), (-0.1, -0.1, -1.2))],
+         bs=(-2.6, -2.6, -1.5), ues=[(-0.4, 0.2, -1.2), (-2.8, 2.3, -1.3)])
+@example(boxes=[((1.6, 0.3, 1.1), (1.9, 0.5, 1.3)),
+                ((0.4, -1.6, -0.1), (0.4, 0.1, 1.6))],
+         segments=[((2.1, -2.9, -0.5), (2.3, 0.5, 1.0))],
+         bs=(2.1, -2.9, -0.5), ues=[(-1.9, 0.8, -2.0), (2.3, 0.5, 1.0)])
+def test_property_geometry_kernels_match_their_earlier_forms(boxes, segments,
+                                                             bs, ues):
+    lo = np.array([b[0] for b in boxes], float).reshape(-1, 3)
+    hi = lo + np.array([b[1] for b in boxes], float).reshape(-1, 3)
+    p0 = np.array([p for p, _ in segments])
+    p1 = np.array([p if e is None else e for p, e in segments])
+    assert np.array_equal(segments_hit_boxes(p0, p1, lo, hi),
+                          _where_hits_oracle(p0, p1, lo, hi))
+    bs, ues = np.array(bs), np.array(ues)
+    q, link = S._specular_points(bs, ues, lo, hi)
+    want_q, want_link = _dense_specular_oracle(bs, ues, lo, hi)
+    assert q.tobytes() == want_q.tobytes() and q.shape == want_q.shape
+    assert np.array_equal(link, want_link)
 
 
 # ----------------------------------------------------------------------
@@ -544,6 +674,34 @@ def test_generate_dataset_accounts_for_every_link():
     assert len(ds.labels) == len(kept) == ds.manifest["n_samples"]
 
 
+def test_generate_dataset_with_a_fully_dropped_scene():
+    # two grid points on a 4.5 m lane that fits one sedan exactly: every
+    # vehicle encloses both, so scene 0 drops every link; the drift takes
+    # the density to zero in scene 1, which keeps both
+    lane = Lane(y_center=5.0, x_min=0.0, x_max=4.5, density=1.0,
+                truck_fraction=0.0)
+    sc = _tiny_scenario(ue_grid=[[1.0, 5.0, 1.0], [3.0, 5.0, 1.0]],
+                        lanes=[lane], traffic_drift=-1.0)
+    assert make_scene(sc, 0, 0, 2).vehicles and not make_scene(
+        sc, 0, 1, 2).vehicles
+    ds = generate_dataset(sc, n_scenes=2, seed=0)
+    assert ds.scene_ids.tolist() == ds.manifest["scene_of_sample"] == [1, 1]
+    assert ds.grid_ids.tolist() == ds.manifest["grid_of_sample"] == [0, 1]
+    assert ds.manifest["dropped"] == [[0, 0], [0, 1]]
+    links = [link for link, _ in trace_paths(sc, Scene(1, []), sc.ue_grid)]
+    assert ds.cfr.tobytes() == synth_cfr(links, sc).tobytes()
+
+
+def test_generate_dataset_peak_memory_is_close_to_one_cfr():
+    tracemalloc.start()
+    try:
+        ds = generate_dataset(desk_scenario(), 10, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * ds.cfr.nbytes, (peak, ds.cfr.nbytes)
+
+
 def test_dataset_coords_match_grid():
     sc = desk_scenario(grid_points=20)
     ds = generate_dataset(sc, n_scenes=2, seed=0)
@@ -591,7 +749,9 @@ def test_scenario_validation():
                 dict(noise_snr_db="x"), dict(noise_snr_db=np.inf),
                 dict(n_subcarriers=8.5), dict(n_subcarriers=1),
                 dict(lanes=[Lane(0.0, 10.0, -10.0)]),
-                dict(lanes=[Lane(0.0, -np.inf, 10.0)])):
+                dict(lanes=[Lane(0.0, -np.inf, 10.0)]),
+                dict(traffic_drift=-1.5), dict(grid_spacing=0.0),
+                dict(buildings=[Box((0.0, 0.0, 1.0), (1.0, 1.0, 0.5))])):
         with pytest.raises(ValueError):
             _tiny_scenario(**bad)
     for bad in (dict(m_y=2.5, m_z=2), dict(m_y=2, m_z=0),
@@ -600,6 +760,10 @@ def test_scenario_validation():
         with pytest.raises(ValueError):
             ArrayGeometry(**bad)
     _tiny_scenario(min_paths=4, max_paths=4)
+    # the edges of the geometry and traffic ranges are allowed
+    _tiny_scenario(buildings=[Box((0, 0, 0), (0, 1.0, 2.0))], traffic_drift=-1,
+                   lanes=[Lane(0.0, -1.0, 1.0, truck_fraction=0),
+                          Lane(2.0, -1.0, 1.0, truck_fraction=1.0)])
     _tiny_scenario(bs_position=(np.float64(1.0), 0, 5.0), noise_snr_db=10,
                    lanes=[Lane(0.0, -10.0, 10.0, density=0.0)],
                    reflection_coeff=0.0, n_subcarriers=np.int64(8))
