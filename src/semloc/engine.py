@@ -13,6 +13,14 @@ The conv2d gradients are im2col matmuls plus a col2im scatter, and
 batch_norm is one primitive with the closed-form backward of Ioffe &
 Szegedy (2015) rather than a composite of the elementwise ones.
 
+When no backward will read the conv's im2col columns (eval, or no
+operand that needs a gradient), the forward builds and multiplies them
+one block of samples at a time, at most ``_BLOCK_BYTES`` of columns per
+block, into one reused buffer, so no whole-batch column buffer exists.
+In training the block is the whole batch, kept for the gradients:
+blocking there measured neutral or slower.  Each output column is the
+same dgemm column either way, so the blocks do not move a byte.
+
 conv2d, batch_norm and max_pool2d take and return ``[B, C, H, W]``
 arrays, but keep the memory behind them channel-major: the conv's
 ``[F, K] @ [K, B*H*W]`` result is returned as a ``[B, F, H, W]`` view of
@@ -411,6 +419,11 @@ def log_softmax(a):
 # convolution / pooling
 # ----------------------------------------------------------------------
 
+# im2col bytes per block of an eval conv: of 0.5, 1 and 2 MiB, 1 MiB was
+# fastest, or tied, on the eval-batch convs of both architectures
+_BLOCK_BYTES = 1 << 20
+
+
 def conv2d(x, w):
     """2-D "same" convolution (cross-correlation), stride 1, no bias.
 
@@ -426,13 +439,12 @@ def conv2d(x, w):
         raise ShapeMismatch("same padding requires odd kernels")
     ph, pw = (kh - 1) // 2, (kw - 1) // 2
     B, C, H, W = x.shape
-    F = w.shape[0]
+    F, K = w.shape[0], C * kh * kw
 
     # K-major im2col (Chellapilla et al., 2006): cols[c, i, j] is the input
-    # shifted by (i - ph, j - pw) and zero outside it, so the forward is one
-    # [F, K] @ [K, B*H*W] matmul; each shift copies only its valid window
-    xt = x.data.transpose(1, 0, 2, 3)
-    cols = np.zeros((C, kh, kw, B, H, W))
+    # shifted by (i - ph, j - pw) and zero outside it, so the forward is
+    # [F, K] @ [K, B*H*W]; each shift copies only its valid window
+    windows = []
     for i in range(kh):
         for j in range(kw):
             h, v = H - abs(i - ph), W - abs(j - pw)
@@ -440,11 +452,29 @@ def conv2d(x, w):
                 continue
             y, z = max(ph - i, 0), max(pw - j, 0)
             sy, sz = max(i - ph, 0), max(j - pw, 0)
-            cols[:, i, j, :, y:y + h, z:z + v] = xt[:, :, sy:sy + h, sz:sz + v]
+            windows.append((i, j, slice(y, y + h), slice(z, z + v),
+                            slice(sy, sy + h), slice(sz, sz + v)))
+    # cols is built and multiplied one block of samples at a time (Goto &
+    # van de Geijn, 2008): a cache-sized block when no backward reads it,
+    # else the whole batch, kept for the gradients.  A block's padding
+    # zeros sit at the same places in every block, so one zero fill serves
+    # all of them, and each output column is the same dgemm column as in
+    # one whole-batch matmul
+    keep = _GRAD_ENABLED[0] and (x.requires_grad or w.requires_grad)
+    nb = B if keep else max(1, min(B, _BLOCK_BYTES // (K * H * W * 8)))
+    xt = x.data.transpose(1, 0, 2, 3)
+    wk = w.data.reshape(F, K)
+    cols = np.zeros((C, kh, kw, nb, H, W))
+    out = np.empty((F, B * H * W))
+    for b0 in range(0, B, nb):
+        b1 = min(b0 + nb, B)
+        blk = cols[:, :, :, :b1 - b0]  # a prefix for the ragged last block
+        for i, j, oy, oz, sy, sz in windows:
+            blk[:, i, j, :, oy, oz] = xt[:, b0:b1, sy, sz]
+        np.matmul(wk, blk.reshape(K, -1), out=out[:, b0 * H * W:b1 * H * W])
     # the [F, B*H*W] result is the channel-major output, returned as its
     # [B, F, H, W] view without a copy
-    out_data = (w.data.reshape(F, -1) @ cols.reshape(C * kh * kw, -1)
-                ).reshape(F, B, H, W).transpose(1, 0, 2, 3)
+    out_data = out.reshape(F, B, H, W).transpose(1, 0, 2, 3)
 
     def _bw(g):
         # both gradients are matmuls against the forward's K-major layout:
@@ -452,10 +482,10 @@ def conv2d(x, w):
         # back by col2im (kh*kw shifted adds into a zero-padded buffer); a
         # channel-major g reads as [F, B*H*W] without a copy
         gt = g.transpose(1, 0, 2, 3).reshape(F, -1)
-        w._accumulate((gt @ cols.reshape(C * kh * kw, -1).T).reshape(w.shape))
+        w._accumulate((gt @ cols.reshape(K, -1).T).reshape(w.shape))
         if not x.requires_grad:  # raw input data: nobody reads its gradient
             return
-        gcols = (w.data.reshape(F, -1).T @ gt).reshape(C, kh, kw, B, H, W)
+        gcols = (wk.T @ gt).reshape(C, kh, kw, B, H, W)
         gxp = np.zeros((C, B, H + 2 * ph, W + 2 * pw))
         for i in range(kh):
             for j in range(kw):

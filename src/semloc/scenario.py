@@ -253,14 +253,16 @@ def steering_vector(azimuth, elevation, array):
     return np.exp(1j * phase).reshape((array.size,) + azimuth.shape)
 
 
-def synth_cfr(mpcs, scenario):
+def synth_cfr(mpcs, scenario, out=None):
     """Channel matrix H [M, K]: column k = sum_p gain_p a_p exp(-2j pi f_k tau_p).
 
     `mpcs` is one MpcSet, giving [M, K], or a sequence of n of them (a
     scene's links), giving [n, M, K].  The scene form computes every
     steering vector and phase in one pass over the concatenated paths,
     then runs one [M, P] @ [P, K] matmul per link, so each link's bytes
-    equal its one-link call.
+    equal its one-link call.  Each matmul writes straight into its link's
+    row of `out` ([n, M, K] complex, e.g. a dataset's rows), which is
+    allocated when not given.
     """
     links = [mpcs] if isinstance(mpcs, MpcSet) else list(mpcs)
     counts = np.array([len(m) for m in links], int)
@@ -273,8 +275,9 @@ def synth_cfr(mpcs, scenario):
     a_mat *= gains[None, :]
     freqs = scenario.subcarrier_freqs()
     phases = np.exp(-2j * np.pi * np.outer(delays, freqs))  # [P, K]
-    out = np.empty((len(links), scenario.array.size, scenario.n_subcarriers),
-                   complex)
+    if out is None:
+        out = np.empty((len(links), scenario.array.size,
+                        scenario.n_subcarriers), complex)
     ends = np.cumsum(counts)
     for h, a, b in zip(out, ends - counts, ends):
         np.matmul(a_mat[:, a:b], phases[a:b], out=h)
@@ -513,7 +516,7 @@ def generate_dataset(scenario, n_scenes, seed):
     for links in traced:
         mpcs = [link[0] for link in links if link is not None]
         if mpcs:
-            cfr[i:i + len(mpcs)] = synth_cfr(mpcs, scenario)
+            synth_cfr(mpcs, scenario, out=cfr[i:i + len(mpcs)])
             i += len(mpcs)
     if scenario.noise_snr_db is not None:
         for h, (t, l) in zip(cfr, kept):

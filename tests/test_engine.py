@@ -7,12 +7,16 @@ max-pool, the im2col conv forward and the fused batch-norm forward must
 match the kernels they replaced (kept here as oracles) byte for byte; in
 4-D training the batch-norm oracle is the composite over the channel rows
 [C, B*H*W], which batch norm reduces.  The im2col/col2im conv gradients
-and the closed-form batch-norm backward must match theirs to 1e-10.
-Hypothesis draws small random shapes for the batch-norm, conv and
-broadcasting-gradient checks.
+and the closed-form batch-norm backward must match theirs to 1e-10.  The
+conv that streams its eval columns through cache-sized blocks must match
+the whole-batch im2col conv byte for byte, forward and gradients, in eval
+and through a whole model's evaluation.  Hypothesis draws small random
+shapes for the batch-norm, conv and broadcasting-gradient checks.
 """
 
 import functools
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -488,6 +492,130 @@ def test_batch_norm_matches_composite(shape, training):
                                 training)
 
 
+def conv2d_whole_batch(x, w):
+    """The im2col conv that the streamed eval forward replaced: one
+    zero-filled whole-batch [C, kh, kw, B, H, W] cols buffer and one
+    [F, K] @ [K, B*H*W] matmul, with the im2col/col2im backward that
+    training still runs."""
+    x, w = E._lift(x), E._lift(w)
+    kh, kw = w.shape[2], w.shape[3]
+    ph, pw = (kh - 1) // 2, (kw - 1) // 2
+    B, C, H, W = x.shape
+    F = w.shape[0]
+    xt = x.data.transpose(1, 0, 2, 3)
+    cols = np.zeros((C, kh, kw, B, H, W))
+    for i in range(kh):
+        for j in range(kw):
+            h, v = H - abs(i - ph), W - abs(j - pw)
+            if h <= 0 or v <= 0:
+                continue
+            y, z = max(ph - i, 0), max(pw - j, 0)
+            sy, sz = max(i - ph, 0), max(j - pw, 0)
+            cols[:, i, j, :, y:y + h, z:z + v] = xt[:, :, sy:sy + h, sz:sz + v]
+    out_data = (w.data.reshape(F, -1) @ cols.reshape(C * kh * kw, -1)
+                ).reshape(F, B, H, W).transpose(1, 0, 2, 3)
+
+    def _bw(g):
+        gt = g.transpose(1, 0, 2, 3).reshape(F, -1)
+        w._accumulate((gt @ cols.reshape(C * kh * kw, -1).T).reshape(w.shape))
+        if not x.requires_grad:
+            return
+        gcols = (w.data.reshape(F, -1).T @ gt).reshape(C, kh, kw, B, H, W)
+        gxp = np.zeros((C, B, H + 2 * ph, W + 2 * pw))
+        for i in range(kh):
+            for j in range(kw):
+                gxp[:, :, i:i + H, j:j + W] += gcols[:, i, j]
+        x._accumulate(gxp[:, :, ph:ph + H, pw:pw + W].transpose(1, 0, 2, 3))
+
+    return Tensor(out_data, _parents=(x, w), _backward=_bw)
+
+
+def _block_samples(x_shape, w_shape):
+    """Samples per eval im2col block, before clipping to [1, B]."""
+    _, c, h, w = x_shape
+    return E._BLOCK_BYTES // (c * w_shape[2] * w_shape[3] * h * w * 8)
+
+
+# (x shape, w shape) at the edges of the streamed eval forward
+_NB = _block_samples((1, 4, 8, 16), (5, 4, 3, 3))
+STREAM_CASES = {
+    "ragged last block": ((2 * _NB + 3, 4, 8, 16), (5, 4, 3, 3)),
+    "one sample": ((1, 3, 6, 10), (4, 3, 3, 3)),
+    "one sample over a block": ((3, 8, 48, 48), (2, 8, 3, 3)),
+    "kernel past the whole input": ((7, 2, 2, 3), (3, 2, 5, 7)),
+}
+
+
+def test_stream_cases_reach_their_edges():
+    b = STREAM_CASES["ragged last block"][0][0]
+    assert b // _NB >= 2 and b % _NB
+    # nb is clipped up to 1
+    assert _block_samples(*STREAM_CASES["one sample over a block"]) == 0
+
+
+def _conv_run(conv, x, w, g):
+    """Forward bytes in eval, then forward, weight- and input-gradient
+    bytes with grad."""
+    with E.no_grad():
+        evaluated = conv(Tensor(x), Tensor(w, requires_grad=True)).data
+    xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
+    out = conv(xt, wt)
+    (out * E.constant(g)).sum().backward()
+    return {"eval": evaluated.tobytes(), "train": out.data.tobytes(),
+            "w grad": wt.grad.tobytes(), "x grad": xt.grad.tobytes()}
+
+
+@pytest.mark.parametrize("case", list(STREAM_CASES))
+def test_conv2d_streamed_eval_is_byte_equal_to_whole_batch(case):
+    x_shape, w_shape = STREAM_CASES[case]
+    rng = np.random.default_rng(7)
+    x, w = rng.normal(size=x_shape), rng.normal(size=w_shape)
+    g = rng.normal(size=(x_shape[0], w_shape[0]) + x_shape[2:])
+    got = _conv_run(E.conv2d, x, w, g)
+    want = _conv_run(conv2d_whole_batch, x, w, g)
+    assert [k for k in got if got[k] != want[k]] == []
+
+
+def test_conv2d_eval_peak_memory_stays_near_its_output():
+    # the default architecture's conv1 at the eval batch, whose whole-batch
+    # cols would take 144 x 256*8*16 doubles: 37.7 MB
+    rng = np.random.default_rng(8)
+    x = Tensor(rng.normal(size=(256, 16, 8, 16)))
+    w = Tensor(rng.normal(size=(32, 16, 3, 3)), requires_grad=True)
+    tracemalloc.start()
+    try:
+        with E.no_grad():
+            out = E.conv2d(x, w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= x.data.nbytes + out.data.nbytes + 4 * E._BLOCK_BYTES, peak
+
+
+def test_eval_through_the_streamed_conv_is_byte_equal_to_whole_batch(
+        monkeypatch):
+    from semloc import training
+    from semloc.models import ArchConfig, Model
+
+    model = Model(ArchConfig(input_shape=(1, 16, 32)), seed=3)
+    rng = np.random.default_rng(9)
+    for name, stat in model.running.items():
+        stat[:] = (rng.uniform(0.5, 2.0, stat.shape) if name.endswith(".var")
+                   else rng.normal(scale=0.3, size=stat.shape))
+    for name, p in model.params.items():
+        if ".bn." in name:
+            p.data += rng.normal(scale=0.2, size=p.shape)
+    n = 333  # a full eval batch of 256, then a ragged one
+    domain = training.DomainData(
+        inputs=rng.normal(size=(n, 1, 16, 32)),
+        coords=rng.normal(size=(n, 3)), labels=rng.integers(0, 3, n),
+        is_source=False)
+    got = training.evaluate_arrays(model, domain).errors
+    monkeypatch.setattr(E, "conv2d", conv2d_whole_batch)
+    want = training.evaluate_arrays(model, domain).errors
+    assert got.tobytes() == want.tobytes()
+
+
 # ----------------------------------------------------------------------
 # property tests: random small shapes (derandomized, so tier-1 stays
 # deterministic)
@@ -549,6 +677,24 @@ def test_property_conv2d_matches_tensordot_and_finite_differences(
               "w": Tensor(k, requires_grad=True)}
     assert grad_check(lambda: weighted(E.conv2d(*params.values()), g),
                       params) < 1e-6
+
+
+@PROPERTY
+@given(b=st.integers(1, 9), c=st.integers(1, 3), f=st.integers(1, 3),
+       h=st.integers(1, 5), w=st.integers(1, 5),
+       kh=st.sampled_from([1, 3, 5]), kw=st.sampled_from([1, 3, 5]),
+       block=st.integers(1, 4), seed=SEEDS)
+def test_property_conv2d_streamed_blocks_match_whole_batch(
+        b, c, f, h, w, kh, kw, block, seed):
+    # multiples of 1/8 in [-4, 4]: every product and partial sum is exact,
+    # so any drawn example passes or fails the same way in any selection
+    rng = np.random.default_rng(seed)
+    x, k, g = (rng.integers(-32, 33, size=s) / 8.0
+               for s in ((b, c, h, w), (f, c, kh, kw), (b, f, h, w)))
+    # blocks of `block` samples, so small shapes stream through several
+    with mock.patch.object(E, "_BLOCK_BYTES", block * c * kh * kw * h * w * 8):
+        got = _conv_run(E.conv2d, x, k, g)
+    assert got == _conv_run(conv2d_whole_batch, x, k, g)
 
 
 @st.composite
