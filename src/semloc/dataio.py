@@ -114,13 +114,21 @@ def load_dataset(in_dir):
         raise InputError(f"{path}: cfr_shape {[n, m, k]} does not fit the "
                          f"scenario's {scenario.array} and "
                          f"{scenario.n_subcarriers} subcarriers")
-    for key in ("scene_of_sample", "grid_of_sample"):
+    n_scenes = manifest["n_scenes"]
+    if not (_is_int(n_scenes) and n_scenes >= 1):
+        raise InputError(f"{path}: n_scenes {n_scenes!r} is not an int >= 1")
+    for key, bound in (("scene_of_sample", n_scenes),
+                       ("grid_of_sample", len(scenario.ue_grid))):
         ids = manifest[key]
-        if not (isinstance(ids, list) and all(_is_int(v) for v in ids)):
+        # json reads a whole number as int (or bool, which this rejects)
+        if not (isinstance(ids, list) and all(type(v) is int for v in ids)):
             raise InputError(f"{path}: {key} is not a list of ints")
         if len(ids) != n:
             raise InputError(f"{path}: {key} has {len(ids)} entries, "
                              f"cfr_shape implies {n}")
+        if ids and not (0 <= min(ids) and max(ids) < bound):
+            raise InputError(f"{path}: {key} holds ids outside "
+                             f"[0, {bound}): {min(ids)} to {max(ids)}")
     cfr = _read_array(in_dir, "cfr.bin", "<f4", 2 * n * m * k)
     cfr = cfr.view("<c8").reshape(n, m, k).astype(np.complex128)
     coords = _read_array(in_dir, "coords.bin", "<f4", 3 * n)

@@ -26,7 +26,7 @@ arrays, but keep the memory behind them channel-major: the conv's
 ``[F, K] @ [K, B*H*W]`` result is returned as a ``[B, F, H, W]`` view of
 its ``[F, B, H, W]`` buffer, batch norm reduces the contiguous channel
 rows of that buffer, and the pool, relu and the gradient buffers
-(``zeros_like``) allocate in their input's order.  So the next conv reads
+(``empty_like``) allocate in their input's order.  So the next conv reads
 its input, and every backward its gradient, without a copy.  Input in
 any other layout gives the same values.  Eval, and 2-D batch norm, are
 byte-equal to the batch-major kernels they replaced; a 4-D batch norm
@@ -120,9 +120,13 @@ class Tensor:
     def _accumulate(self, g):
         if not self.requires_grad:
             return
+        g = _unbroadcast(np.asarray(g, dtype=np.float64), self.data.shape)
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += _unbroadcast(np.asarray(g, dtype=np.float64), self.data.shape)
+            # one pass with the bits of zeros_like(data) + g: -0.0 becomes
+            # +0.0 either way, and the buffer keeps data's memory order
+            self.grad = np.add(g, 0.0, out=np.empty_like(self.data))
+        else:
+            self.grad += g
 
     def backward(self):
         """Populate .grad on every requires_grad leaf reachable from self.
@@ -516,7 +520,7 @@ def max_pool2d(x):
         # each window's gradient goes to its first maximum, as argmax picks;
         # the corners in row-major window order (00, 01, 10, 11)
         corners = [d[:, :, i::2, j::2] for i in (0, 1) for j in (0, 1)]
-        gx = np.zeros_like(d)
+        gx = np.empty_like(d)  # the four corner stores cover every entry
         taken = np.zeros_like(out_data, dtype=bool)
         for k, c in enumerate(corners):
             hit = (c == out_data) & ~taken

@@ -47,6 +47,13 @@ class ArchConfig:
         down = 2 ** len(self.conv_channels)
         return self.conv_channels[-1] * (h // down) * (w // down)
 
+    def peak_activation_bytes(self):
+        """Float64 bytes per sample of the largest theta1 activation: block
+        i's conv output holds c_i x (H x W / 4^i) values."""
+        _, h, w = self.input_shape
+        return max(c * (h * w // 4 ** i) * 8
+                   for i, c in enumerate(self.conv_channels))
+
     def to_dict(self):
         return asdict(self)
 

@@ -190,6 +190,7 @@ def test_acceptance_4_simulator_consistency(capsys):
 # 5. directional ablation (the slow one)
 # ----------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_acceptance_5_directional_ablation(capsys):
     t0 = time.time()
     c0 = time.process_time()  # budget is CPU time on one core

@@ -45,7 +45,7 @@ def test_property_dataset_round_trip(n, m_y, m_z, k, scale, seed):
     rng = np.random.default_rng(seed)
     sc = Scenario(bs_position=(0.0, 0.0, 5.0), array=ArrayGeometry(m_y, m_z),
                   carrier_freq=3.5e9, bandwidth=100e6, n_subcarriers=k,
-                  ue_grid=np.zeros((1, 3)), grid_spacing=1.0)
+                  ue_grid=np.zeros((200, 3)), grid_spacing=1.0)
     m = sc.array.size
     scene_ids = rng.integers(0, 40, n)
     grid_ids = rng.integers(0, 200, n)
@@ -420,18 +420,30 @@ def test_cli_bad_input_files_exit_4(dataset, tmp_path, capsys):
 
 
 def test_cli_malformed_dataset_manifest_exits_4(dataset, tmp_path, capsys):
-    # a cfr_shape that is not three non-negative ints, or per-sample ids
-    # that are not a list of ints, exit 4 with one stderr line, not a
-    # traceback; train stops before --out
+    # a cfr_shape that is not three non-negative ints, an n_scenes that is
+    # not an int >= 1, or per-sample ids that are not a list of ints inside
+    # [0, n_scenes) and [0, len(ue_grid)), exit 4 with one stderr line, not
+    # a traceback; train stops before --out
     ds_dir, ckpt = save_untrained_run(dataset, tmp_path)
     path = tmp_path / "ds" / "manifest.json"
     manifest = json.loads(path.read_text())
     n, m, k = manifest["cfr_shape"]
+    scenes = manifest["scene_of_sample"]
+    grids = manifest["grid_of_sample"]
+    n_grid = len(manifest["scenario"]["ue_grid"])
     run = tmp_path / "run"
     for key, bad in (("cfr_shape", [m, k]), ("cfr_shape", [n, m, -k]),
                      ("cfr_shape", [n, m, float(k)]),
+                     ("n_scenes", "x"), ("n_scenes", 2.5), ("n_scenes", -1),
+                     ("n_scenes", 0), ("n_scenes", True),
                      ("scene_of_sample", 5),
-                     ("grid_of_sample", ["0"] * n)):
+                     ("scene_of_sample", [2 ** 70] + scenes[1:]),
+                     ("scene_of_sample", [-3] + scenes[1:]),
+                     ("scene_of_sample", scenes[:-1] + [99]),
+                     ("scene_of_sample", [True] + scenes[1:]),
+                     ("grid_of_sample", ["0"] * n),
+                     ("grid_of_sample", grids[:-1] + [n_grid]),
+                     ("grid_of_sample", [-1] + grids[1:])):
         path.write_text(json.dumps({**manifest, key: bad}))
         for argv in (["eval", "--ckpt", ckpt, "--data", ds_dir],
                      ["train", "--data", ds_dir, "--out", str(run)]):

@@ -10,8 +10,10 @@ match the kernels they replaced (kept here as oracles) byte for byte; in
 and the closed-form batch-norm backward must match theirs to 1e-10.  The
 conv that streams its eval columns through cache-sized blocks must match
 the whole-batch im2col conv byte for byte, forward and gradients, in eval
-and through a whole model's evaluation.  Hypothesis draws small random
-shapes for the batch-norm, conv and broadcasting-gradient checks.
+and through a whole model's evaluation.  Evaluation in byte-sized batches
+must give the bytes of one forward over the whole domain, and first
+adjoints the bits of a zero fill plus an add.  Hypothesis draws small
+random shapes for the batch-norm, conv and broadcasting-gradient checks.
 """
 
 import functools
@@ -398,6 +400,40 @@ def test_pool_oracle_catches_ties_routed_to_last_maximum():
     assert _pool_mismatches(mutant) == ["integer ties", "all zero"]
 
 
+def _accumulate_zero_filled(self, g):
+    """The first-adjoint form the one-pass add replaced: a zero fill, then
+    an add into it."""
+    if not self.requires_grad:
+        return
+    if self.grad is None:
+        self.grad = np.zeros_like(self.data)
+    self.grad += E._unbroadcast(np.asarray(g, dtype=np.float64), self.data.shape)
+
+
+def _adjoint_bytes(pool):
+    """Gradient bytes and strides of a -0.0 first adjoint, of a broadcast
+    one into a channel-major buffer, and of `pool`'s input gradient where g
+    holds -0.0 entries."""
+    rng = np.random.default_rng(12)
+    signed_zero = Tensor(np.ones(4), requires_grad=True)
+    signed_zero._accumulate(np.array([-0.0, 0.0, -1.0, 2.0]))
+    cm = Tensor(rng.normal(size=(3, 2, 4, 4)).transpose(1, 0, 2, 3),
+                requires_grad=True)
+    cm._accumulate(-0.0 * rng.normal(size=(2, 2, 3, 4, 4)))
+    x, g = _pool_cases()["integer ties"]
+    g = np.where(rng.random(g.shape) < 0.5, -0.0, g)
+    pooled = Tensor(x, requires_grad=True)
+    (pool(pooled) * E.constant(g)).sum().backward()
+    return [(t.grad.tobytes(), t.grad.strides)
+            for t in (signed_zero, cm, pooled)]
+
+
+def test_adjoints_are_byte_equal_to_zero_filled_accumulation(monkeypatch):
+    got = _adjoint_bytes(E.max_pool2d)
+    monkeypatch.setattr(Tensor, "_accumulate", _accumulate_zero_filled)
+    assert got == _adjoint_bytes(max_pool2d_argmax)
+
+
 def _conv_shapes(channels, input_shape, batch):
     c, h, w = input_shape
     for f in channels:
@@ -407,7 +443,8 @@ def _conv_shapes(channels, input_shape, batch):
 
 # every conv of the gate architecture [4, 8, 8, 16] and of the default
 # architecture [16, 32, 32, 64] on 1x16x32 fingerprints, at the training
-# batch (64) and the eval batch (256)
+# batch (64, also the default architecture's eval batch) and the gate
+# architecture's eval batch (256)
 CONV_SHAPES = [s for batch in (64, 256)
                for channels in ([4, 8, 8, 16], [16, 32, 32, 64])
                for s in _conv_shapes(channels, (1, 16, 32), batch)]
@@ -577,7 +614,7 @@ def test_conv2d_streamed_eval_is_byte_equal_to_whole_batch(case):
 
 
 def test_conv2d_eval_peak_memory_stays_near_its_output():
-    # the default architecture's conv1 at the eval batch, whose whole-batch
+    # the default architecture's conv1 at a batch of 256, whose whole-batch
     # cols would take 144 x 256*8*16 doubles: 37.7 MB
     rng = np.random.default_rng(8)
     x = Tensor(rng.normal(size=(256, 16, 8, 16)))
@@ -592,12 +629,12 @@ def test_conv2d_eval_peak_memory_stays_near_its_output():
     assert peak <= x.data.nbytes + out.data.nbytes + 4 * E._BLOCK_BYTES, peak
 
 
-def test_eval_through_the_streamed_conv_is_byte_equal_to_whole_batch(
-        monkeypatch):
-    from semloc import training
+def _perturbed_model(input_shape):
+    """A default-architecture model whose batch-norm parameters and running
+    statistics are moved off their initial values."""
     from semloc.models import ArchConfig, Model
 
-    model = Model(ArchConfig(input_shape=(1, 16, 32)), seed=3)
+    model = Model(ArchConfig(input_shape=input_shape), seed=3)
     rng = np.random.default_rng(9)
     for name, stat in model.running.items():
         stat[:] = (rng.uniform(0.5, 2.0, stat.shape) if name.endswith(".var")
@@ -605,15 +642,67 @@ def test_eval_through_the_streamed_conv_is_byte_equal_to_whole_batch(
     for name, p in model.params.items():
         if ".bn." in name:
             p.data += rng.normal(scale=0.2, size=p.shape)
-    n = 333  # a full eval batch of 256, then a ragged one
-    domain = training.DomainData(
-        inputs=rng.normal(size=(n, 1, 16, 32)),
+    return model
+
+
+def _random_domain(n, input_shape):
+    from semloc import training
+
+    rng = np.random.default_rng(10)
+    return training.DomainData(
+        inputs=rng.normal(size=(n, *input_shape)),
         coords=rng.normal(size=(n, 3)), labels=rng.integers(0, 3, n),
         is_source=False)
+
+
+def test_eval_through_the_streamed_conv_is_byte_equal_to_whole_batch(
+        monkeypatch):
+    from semloc import training
+
+    model = _perturbed_model((1, 16, 32))
+    # eval batches of 56, 56, 56, 56, 56 and 53 rows; conv0 streams each
+    # in blocks of 28 rows, the last of 53 ragged
+    domain = _random_domain(333, (1, 16, 32))
     got = training.evaluate_arrays(model, domain).errors
     monkeypatch.setattr(E, "conv2d", conv2d_whole_batch)
     want = training.evaluate_arrays(model, domain).errors
     assert got.tobytes() == want.tobytes()
+
+
+def test_eval_bytes_do_not_depend_on_batching():
+    # n = b + 1 and 2b + 1 leave a row after the last whole 8-row tile;
+    # 257 once ended in a one-row batch of 256 + 1, whose matmuls round
+    # differently from the same row in a larger batch
+    from semloc import training
+
+    model = _perturbed_model((1, 16, 32))
+    b = training.EVAL_BATCH_BYTES // model.arch.peak_activation_bytes()
+    assert b == 64
+    for n in (b + 1, 2 * b + 1, 257):
+        domain = _random_domain(n, (1, 16, 32))
+        got = training.evaluate_arrays(model, domain).errors
+        with E.no_grad():
+            out = model.forward(domain.inputs, train=False)
+        want = np.sort(np.linalg.norm(out.coords.data - domain.coords, axis=1))
+        assert got.tobytes() == want.tobytes(), n
+
+
+def test_eval_peak_memory_is_bounded_by_the_batch_budget():
+    # 40 full-scale samples in one batch hold a 21 MB conv0 output and its
+    # 21 MB batch-norm output at once; batches of 8 hold 4 MiB of each
+    from semloc import training
+
+    model = _perturbed_model((1, 64, 64))
+    domain = _random_domain(40, (1, 64, 64))
+    tracemalloc.start()
+    try:
+        m = training.evaluate_arrays(model, domain)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    outputs = m.errors.nbytes + domain.coords.nbytes + domain.labels.nbytes
+    budget = training.EVAL_BATCH_BYTES
+    assert peak <= domain.inputs.nbytes + outputs + 4 * budget, peak
 
 
 # ----------------------------------------------------------------------

@@ -7,7 +7,7 @@ import semloc.training as training
 from semloc import cli
 from semloc import features as F
 from semloc.dataio import scenario_from_manifest
-from semloc.models import Model
+from semloc.models import ArchConfig, Model
 from semloc.scenario import desk_scenario, generate_dataset
 from semloc.training import Metrics, SplitPlan, TrainConfig, lambda3_schedule
 
@@ -184,6 +184,8 @@ def test_metrics_rmse_oracle():
     from semloc.engine import Tensor
 
     class M:  # minimal model stub: constant offset, always predicts class 0
+        arch = ArchConfig(conv_channels=[1], input_shape=(1, 2, 2))
+
         def forward(self, x, train):
             n = len(x)
             coords = np.tile([3.0, 4.0, 0.0], (n, 1))
@@ -218,8 +220,16 @@ def test_evaluate_arrays_builds_no_graph(small_dataset, monkeypatch):
     monkeypatch.setattr(Model, "forward",
                         lambda *a, **k: outputs.append(forward(*a, **k))
                         or outputs[-1])
-    training.evaluate_arrays(model, domain, batch_size=16)
-    assert len(outputs) == -(-len(domain.inputs) // 16)
+    # a budget of 16 rows: the fewest near-equal batches of whole 8-row
+    # tiles, the last one with the rows after the last whole tile
+    monkeypatch.setattr(training, "EVAL_BATCH_BYTES",
+                        16 * model.arch.peak_activation_bytes())
+    n = len(domain.inputs)
+    training.evaluate_arrays(model, domain)
+    rows = [len(out.coords.data) for out in outputs]
+    assert len(rows) == -(-n // 16) >= 3 and sum(rows) == n
+    assert all(r in (8, 16) for r in rows[:-1])
+    assert rows[-1] - n % 8 in (8, 16)
     for out in outputs:
         for t in (out.features, out.coords, out.logits, out.probs):
             assert t.requires_grad is False and t._parents == ()
