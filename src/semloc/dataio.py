@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import math
 import os
 
 import numpy as np
@@ -158,12 +159,26 @@ def save_checkpoint(out_dir, param_data, manifest):
 
 def load_checkpoint(in_dir):
     manifest = _read_manifest(in_dir, ("param_order", "param_shapes"))
-    shapes = [tuple(manifest["param_shapes"][name])
-              for name in manifest["param_order"]]
-    sizes = [int(np.prod(shape)) for shape in shapes]
+    path = os.path.join(in_dir, "manifest.json")
+    order, by_name = manifest["param_order"], manifest["param_shapes"]
+    if not (isinstance(order, list) and all(type(n) is str for n in order)
+            and len(set(order)) == len(order)):
+        raise InputError(f"{path}: param_order is not a list of distinct "
+                         f"strings")
+    if not isinstance(by_name, dict):
+        raise InputError(f"{path}: param_shapes is not an object")
+    for name in order:
+        shape = by_name.get(name)
+        # json reads a whole number as int (or bool, which this rejects)
+        if not (isinstance(shape, list)
+                and all(type(v) is int and v >= 0 for v in shape)):
+            raise InputError(f"{path}: param_shapes[{name!r}] {shape!r} is "
+                             f"not a list of non-negative ints")
+    shapes = [tuple(by_name[name]) for name in order]
+    sizes = [math.prod(shape) for shape in shapes]  # exact, unlike int64
     blob = _read_array(in_dir, "params.bin", "<f8", sum(sizes))
     params, ofs = {}, 0
-    for name, shape, size in zip(manifest["param_order"], shapes, sizes):
+    for name, shape, size in zip(order, shapes, sizes):
         params[name] = blob[ofs:ofs + size].reshape(shape)
         ofs += size
     return params, manifest

@@ -11,7 +11,10 @@ no closure keeps a forward buffer alive.
 
 The conv2d gradients are im2col matmuls plus a col2im scatter, and
 batch_norm is one primitive with the closed-form backward of Ioffe &
-Szegedy (2015) rather than a composite of the elementwise ones.
+Szegedy (2015) rather than a composite of the elementwise ones.  The
+max-pool backward routes each window's gradient by the two bool arrays
+of choices its forward's passes made, kept only when a graph is
+recorded, without reading the input again.
 
 When no backward will read the conv's im2col columns (eval, or no
 operand that needs a gradient), the forward builds and multiplies them
@@ -513,19 +516,30 @@ def max_pool2d(x):
     # np.maximum may not keep the first of a +0.0/-0.0 tie, but a pool input
     # is batch-norm output gamma*xhat + beta, which is never -0.0.  Both
     # passes allocate in the input's memory order.
-    cmax = np.maximum(d[:, :, :, 0::2], d[:, :, :, 1::2])
+    col0, col1 = d[:, :, :, 0::2], d[:, :, :, 1::2]
+    cmax = np.maximum(col0, col1)
     out_data = np.maximum(cmax[:, :, 0::2], cmax[:, :, 1::2])
+    if not (_GRAD_ENABLED[0] and x.requires_grad):
+        return Tensor(out_data, _parents=(x,))
+    # the choices of the two passes, strict so that a tie keeps the first:
+    # each window's gradient goes to its first maximum in (00, 01, 10, 11)
+    # order, as argmax picks
+    right = col1 > col0                            # [B, C, H, W/2]
+    lower = cmax[:, :, 1::2] > cmax[:, :, 0::2]    # [B, C, H/2, W/2]
 
     def _bw(g):
-        # each window's gradient goes to its first maximum, as argmax picks;
-        # the corners in row-major window order (00, 01, 10, 11)
-        corners = [d[:, :, i::2, j::2] for i in (0, 1) for j in (0, 1)]
+        upper = ~lower
+        r0 = right[:, :, 0::2] & upper
+        r1 = right[:, :, 1::2] & lower
         gx = np.empty_like(d)  # the four corner stores cover every entry
-        taken = np.zeros_like(out_data, dtype=bool)
-        for k, c in enumerate(corners):
-            hit = (c == out_data) & ~taken
-            gx[:, :, k // 2::2, k % 2::2] = np.where(hit, g, 0.0)
-            taken |= hit
+        # g * False is -0.0 where g < 0, not the +0.0 of a zero-filled
+        # gradient; the first adjoint's add of 0.0 in _accumulate makes it
+        # +0.0, and a later add of -0.0 changes no value, so x.grad has the
+        # bits of the zero-filled routing.  A non-finite g also reaches the
+        # corners it did not pick; SGD.step refuses that gradient either way
+        for (i, j), pick in zip(((0, 0), (0, 1), (1, 0), (1, 1)),
+                                (upper ^ r0, r0, lower ^ r1, r1)):
+            np.multiply(g, pick, out=gx[:, :, i::2, j::2])
         x._accumulate(gx)
 
     return Tensor(out_data, _parents=(x,), _backward=_bw)

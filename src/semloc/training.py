@@ -224,12 +224,14 @@ def objective(cfg, out_s, y, d, out_t, params, u, lam3):
                             cfg.lambda4, cfg.gamma)
 
 
-def train(dataset, split, cfg):
+def train(dataset, split, cfg, domains=None):
     """Train per the configured method; returns the best-val-RMSE checkpoint
     and the prepared domains, so callers score it without preparing them
-    again."""
+    again.  `domains`, if given, is the (source, val, target) triple that
+    prepare_domains(dataset, split, cfg) returns."""
     require_links(dataset, split)
-    domains = prepare_domains(dataset, split, cfg)
+    if domains is None:
+        domains = prepare_domains(dataset, split, cfg)
     source, val, target = domains
 
     model = Model(arch_for(cfg, source.inputs.shape[1:]), seed=cfg.seed)
@@ -371,14 +373,19 @@ DEFAULT_ABLATION = (
 
 def run_ablation(dataset, split, base_cfg, grid=DEFAULT_ABLATION, seeds=(0, 1, 2)):
     """Train each grid row over several seeds; report mean +/- std and the
-    relative gain of each row against the matching single-task baseline."""
-    rows = []
+    relative gain of each row against the matching single-task baseline.
+    The split is prepared once per fingerprint and normalization, the only
+    fields prepare_domain reads, and shared by the runs that use them."""
+    rows, prepared = [], {}
     for name, overrides in grid:
         rmses, accs = [], []
         for seed in seeds:
             cfg = TrainConfig(**{**base_cfg.to_dict(), **overrides,
                                  "seed": seed})
-            result = train(dataset, split, cfg)
+            key = (cfg.fingerprint, cfg.normalization)
+            if key not in prepared:
+                prepared[key] = prepare_domains(dataset, split, cfg)
+            result = train(dataset, split, cfg, prepared[key])
             result.model.load_state_dict(result.best_state)
             m = evaluate_arrays(result.model, result.domains[2])
             rmses.append(m.rmse)

@@ -452,6 +452,48 @@ def test_cli_malformed_dataset_manifest_exits_4(dataset, tmp_path, capsys):
             assert not run.exists()
 
 
+def _first_shape(value):
+    """An edit of a checkpoint manifest that sets the first parameter's
+    shape to `value`."""
+    def edit(m):
+        m["param_shapes"][m["param_order"][0]] = value
+    return edit
+
+
+BAD_PARAM_LAYOUTS = {
+    "order-names-an-absent-shape":
+        lambda m: m["param_shapes"].pop(m["param_order"][0]),
+    "order-not-a-list": lambda m: m.update(param_order=5),
+    "order-holds-a-non-string": lambda m: m["param_order"].append(3),
+    "order-repeats-a-name":
+        lambda m: m["param_order"].append(m["param_order"][0]),
+    "shapes-a-list": lambda m: m.update(param_shapes=[[2, 2]]),
+    "shape-string": _first_shape("ab"),
+    "shape-negative": _first_shape([-2, -2]),
+    "shape-floats": _first_shape([2.0, 2.0]),
+    "shape-bool": _first_shape([True, 4]),
+}
+
+
+@pytest.mark.parametrize("command", ["eval", "report"])
+@pytest.mark.parametrize("edit", list(BAD_PARAM_LAYOUTS.values()),
+                         ids=list(BAD_PARAM_LAYOUTS))
+def test_cli_malformed_param_layout_exits_4(dataset, tmp_path, capsys,
+                                            command, edit):
+    # param_order must be a list of distinct strings, and param_shapes an
+    # object holding a list of non-negative ints for each of them; anything
+    # else exits 4 with one stderr line, not a traceback
+    ds_dir, ckpt = save_untrained_run(dataset, tmp_path)
+    path = tmp_path / "ckpt" / "manifest.json"
+    manifest = json.loads(path.read_text())
+    edit(manifest)
+    path.write_text(json.dumps(manifest))
+    argv = (["eval", "--ckpt", ckpt, "--data", ds_dir] if command == "eval"
+            else ["report", "--run", ckpt])
+    assert cli.main(argv) == 4
+    assert_one_error_line(capsys, f"semloc: {path}: param_")
+
+
 def test_cli_scores_checkpoints_with_stale_train_config_keys(dataset, tmp_path,
                                                            capsys):
     # eval reads only the fingerprint and normalization of train_config,

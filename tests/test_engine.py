@@ -6,14 +6,17 @@ central finite differences through `engine.grad_check`.  The strided-slice
 max-pool, the im2col conv forward and the fused batch-norm forward must
 match the kernels they replaced (kept here as oracles) byte for byte; in
 4-D training the batch-norm oracle is the composite over the channel rows
-[C, B*H*W], which batch norm reduces.  The im2col/col2im conv gradients
+[C, B*H*W], which batch norm reduces.  The pool backward, routed by the
+choices its forward made, must match the corner-compare backward it
+replaced in bytes and strides.  The im2col/col2im conv gradients
 and the closed-form batch-norm backward must match theirs to 1e-10.  The
 conv that streams its eval columns through cache-sized blocks must match
 the whole-batch im2col conv byte for byte, forward and gradients, in eval
 and through a whole model's evaluation.  Evaluation in byte-sized batches
 must give the bytes of one forward over the whole domain, and first
 adjoints the bits of a zero fill plus an add.  Hypothesis draws small
-random shapes for the batch-norm, conv and broadcasting-gradient checks.
+random shapes for the batch-norm, conv, pool-routing and
+broadcasting-gradient checks.
 """
 
 import functools
@@ -368,11 +371,12 @@ def assert_grad_close(got, want):
 
 
 def _pool_bytes(pool, x, g):
-    """Forward and input-gradient bytes of `pool` at x, upstream gradient g."""
+    """Forward and input-gradient bytes and strides of `pool` at x through
+    Tensor.backward, upstream gradient g."""
     t = Tensor(x, requires_grad=True)
     out = pool(t)
     (out * E.constant(g)).sum().backward()
-    return out.data.tobytes(), t.grad.tobytes()
+    return [(a.tobytes(), a.strides) for a in (out.data, t.grad)]
 
 
 def _pool_cases():
@@ -398,6 +402,63 @@ def test_max_pool2d_is_byte_equal_to_argmax_pool():
 def test_pool_oracle_catches_ties_routed_to_last_maximum():
     mutant = functools.partial(max_pool2d_argmax, ties_to_last=True)
     assert _pool_mismatches(mutant) == ["integer ties", "all zero"]
+
+
+def max_pool2d_argmax_backward(x, prefer_last=False):
+    """The strided pool with the backward that routing by the forward's
+    choices replaced: it compares each corner with the output and gives
+    each window's gradient to its first maximum, or, in the mutant
+    `prefer_last` that the routing test must catch, to its last."""
+    d = x.data
+    cmax = np.maximum(d[:, :, :, 0::2], d[:, :, :, 1::2])
+    out_data = np.maximum(cmax[:, :, 0::2], cmax[:, :, 1::2])
+
+    def _bw(g):
+        corners = [d[:, :, i::2, j::2] for i in (0, 1) for j in (0, 1)]
+        gx = np.empty_like(d)
+        taken = np.zeros_like(out_data, dtype=bool)
+        for k in (3, 2, 1, 0) if prefer_last else (0, 1, 2, 3):
+            hit = (corners[k] == out_data) & ~taken
+            gx[:, :, k // 2::2, k % 2::2] = np.where(hit, g, 0.0)
+            taken |= hit
+        x._accumulate(gx)
+
+    return Tensor(out_data, _parents=(x,), _backward=_bw)
+
+
+def _routing_cases():
+    """The pool cases plus windows of one repeated value, each in batch-
+    and channel-major memory (as conv2d returns it), under g and under a
+    g of -0.0 and negative values."""
+    cases = _pool_cases()
+    x, g = cases["integer ties"]
+    cases["constant windows"] = (
+        np.repeat(np.repeat(x[:, :, ::2, ::2], 2, axis=2), 2, axis=3), g)
+    rng = np.random.default_rng(13)
+    out = {}
+    for name, (x, g) in cases.items():
+        cm = np.ascontiguousarray(x.transpose(1, 0, 2, 3)).transpose(1, 0, 2, 3)
+        signed = np.where(rng.random(g.shape) < 0.3, -0.0, -np.abs(g))
+        for layout, xl in (("batch-major", x), ("channel-major", cm)):
+            for gname, gl in (("g", g), ("g -0.0 and negative", signed)):
+                out[f"{name}, {layout}, {gname}"] = (xl, gl)
+    return out
+
+
+def _routing_mismatches(pool):
+    return [name for name, (x, g) in _routing_cases().items()
+            if _pool_bytes(pool, x, g)
+            != _pool_bytes(max_pool2d_argmax_backward, x, g)]
+
+
+def test_max_pool2d_routing_is_byte_equal_to_corner_compares():
+    assert _routing_mismatches(E.max_pool2d) == []
+
+
+def test_routing_oracle_catches_a_pool_that_prefers_the_last_maximum():
+    mutant = functools.partial(max_pool2d_argmax_backward, prefer_last=True)
+    got = _routing_mismatches(mutant)
+    assert got == [n for n in _routing_cases() if not n.startswith("normal")]
 
 
 def _accumulate_zero_filled(self, g):
@@ -784,6 +845,25 @@ def test_property_conv2d_streamed_blocks_match_whole_batch(
     with mock.patch.object(E, "_BLOCK_BYTES", block * c * kh * kw * h * w * 8):
         got = _conv_run(E.conv2d, x, k, g)
     assert got == _conv_run(conv2d_whole_batch, x, k, g)
+
+
+@PROPERTY
+@given(b=st.integers(1, 3), c=st.integers(1, 3), h=st.integers(1, 4),
+       w=st.integers(1, 4), channel_major=st.booleans(), seed=SEEDS)
+def test_property_max_pool2d_routing_matches_corner_compares(
+        b, c, h, w, channel_major, seed):
+    # a lattice of 5 values gives many ties, and halves of g with -0.0 in
+    # it are exact, so any drawn example passes or fails the same way in
+    # any selection
+    rng = np.random.default_rng(seed)
+    x = rng.integers(-2, 3, size=(c, b, 2 * h, 2 * w)) / 2.0
+    x = x.transpose(1, 0, 2, 3)
+    if not channel_major:
+        x = np.ascontiguousarray(x)
+    g = rng.integers(-3, 4, size=(b, c, h, w)) / 2.0
+    g[g == 0] = -0.0
+    assert (_pool_bytes(E.max_pool2d, x, g)
+            == _pool_bytes(max_pool2d_argmax_backward, x, g))
 
 
 @st.composite

@@ -1,5 +1,7 @@
 """Tests for the training loop, split handling, schedules and metrics."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -339,17 +341,24 @@ def test_best_state_tracks_val(small_dataset):
     assert abs(res.best_val_score - min(rmses)) < 1e-9
 
 
-def test_ablation_rows_and_csv(small_dataset, monkeypatch):
+def _count_preparations(monkeypatch):
     calls = []
     prepare = training.prepare_domains
     monkeypatch.setattr(training, "prepare_domains",
                         lambda *a: calls.append(a) or prepare(*a))
+    return calls
+
+
+def test_ablation_rows_and_csv(small_dataset, monkeypatch):
+    calls = _count_preparations(monkeypatch)
     split = SplitPlan.default(12)
     grid = (("cr-only", dict(method="dcnn", lambda3_max=0.0)),
             ("mda", dict(method="mda")))
     rows = training.run_ablation(small_dataset, split, small_cfg(epochs=1),
                                  grid=grid, seeds=(0,))
-    assert len(calls) == 2   # once per run: scoring reuses the train domains
+    # both rows read adp/aw: one preparation serves both runs, and scoring
+    # reuses the train domains
+    assert len(calls) == 1
     assert [r["name"] for r in rows] == ["cr-only", "mda"]
     assert rows[0]["loc_gain_pct"] == ""   # the baseline has no gain column
     assert rows[1]["loc_gain_pct"] != ""
@@ -357,3 +366,68 @@ def test_ablation_rows_and_csv(small_dataset, monkeypatch):
     assert csv.startswith("name,rmse_mean,rmse_std,acc_mean,acc_std,"
                           "loc_gain_pct,acc_gain_pct\n")
     assert len(csv.strip().split("\n")) == 3
+
+
+def test_ablation_prepares_each_fingerprint_once(small_dataset, monkeypatch):
+    calls = _count_preparations(monkeypatch)
+    grid = (("cr-only", dict(method="dcnn", lambda3_max=0.0)),
+            ("mda", dict(method="mda")),
+            ("mda-scm", dict(method="mda", fingerprint=F.SCM,
+                             normalization=F.MW)))
+    training.run_ablation(small_dataset, SplitPlan.default(12),
+                          small_cfg(epochs=1), grid=grid, seeds=(0, 1))
+    assert [(c[2].fingerprint, c[2].normalization) for c in calls] == [
+        (F.ADP, F.AW), (F.SCM, F.MW)]
+
+
+# ----------------------------------------------------------------------
+# golden training digests
+# ----------------------------------------------------------------------
+
+GATE_ARCH = dict(conv_channels=[4, 8, 8, 16], mlp_widths=[32, 16])
+
+
+@pytest.fixture(scope="module")
+def golden_dataset():
+    return generate_dataset(desk_scenario(), n_scenes=8, seed=5)
+
+
+def _sha(b):
+    return hashlib.sha256(b).hexdigest()
+
+
+# sha256 of the training log and of the best state's bytes (keys in sorted
+# order) of a 2-epoch run at the acceptance gate's architecture, recorded
+# before the max-pool backward routed by its forward's choices: a change
+# that moves any byte of training fails here
+GOLDEN_TRAIN = {
+    "mda": ("b5c43c31bd317ecbf5946c327e25f0e44e64afc5b1480ddc9db708e0318482ad",
+            "9d31ecb09508c2df40608e5d9644c8ae0b2f9876e25dfc050a3579eb9bad585d"),
+    "hda": ("31469c53ac72bf821ea37e6bb1d309e30ab143ec6e06970852ff5d81d87cb6ef",
+            "b96da882c26cdcdda8557348cc3bf982a89e34c536070ee5833c4d542265a93d"),
+}
+
+
+@pytest.mark.parametrize("method", sorted(GOLDEN_TRAIN))
+def test_train_golden_digests(golden_dataset, method):
+    cfg = TrainConfig(method=method, epochs=2, batch_size=32, **GATE_ARCH)
+    res = training.train(golden_dataset, SplitPlan.default(8), cfg)
+    state = b"".join(res.best_state[k].tobytes() for k in sorted(res.best_state))
+    assert (_sha(res.log_csv.encode()), _sha(state)) == GOLDEN_TRAIN[method]
+
+
+def test_run_ablation_golden_rows(golden_dataset):
+    grid = (("cr-only", dict(method="dcnn", lambda3_max=0.0)),
+            ("mda", dict(method="mda", fingerprint=F.SCM,
+                         normalization=F.MW)))
+    rows = training.run_ablation(
+        golden_dataset, SplitPlan.default(8),
+        TrainConfig(epochs=1, batch_size=32, **GATE_ARCH), grid=grid,
+        seeds=(0,))
+    assert rows == [
+        {"name": "cr-only", "rmse_mean": 6.708917214802664, "rmse_std": 0.0,
+         "acc_mean": 0.37945492662473795, "acc_std": 0.0,
+         "loc_gain_pct": "", "acc_gain_pct": ""},
+        {"name": "mda", "rmse_mean": 21.971243278162895, "rmse_std": 0.0,
+         "acc_mean": 0.3060796645702306, "acc_std": 0.0,
+         "loc_gain_pct": "-227.493", "acc_gain_pct": ""}]
