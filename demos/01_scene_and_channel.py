@@ -22,25 +22,25 @@ print(f"BS at {sc.bs_position}, {sc.array.m_y}x{sc.array.m_z} planar array, "
 scene = make_scene(sc, seed=0, scene_id=20, n_scenes=40)
 print(f"scene 20: {len(scene.vehicles)} vehicles on the road\n")
 
-# one tracer call for the whole grid; None marks a fully shadowed link,
-# which the generator records as dropped
+# one tracer call for the whole grid: every kept path in one MpcSet,
+# link-major, with the paths kept per link; a zero count marks a fully
+# shadowed link, which the generator records as dropped
+paths, counts, labels = trace_paths(sc, scene, sc.ue_grid)
+ends = np.cumsum(counts)
 shown = set()
-for ue, link in zip(sc.ue_grid, trace_paths(sc, scene, sc.ue_grid)):
-    if link is None:
-        continue
-    mpcs, label = link
-    if label in shown:
+for ue, a, b, label in zip(sc.ue_grid, ends - counts, ends, labels):
+    if a == b or label in shown:
         continue
     shown.add(label)
     d = np.linalg.norm(np.asarray(sc.bs_position) - ue)
     print(f"UE at ({ue[0]:6.1f}, {ue[1]:4.1f}, {ue[2]:3.1f})  "
           f"label={LABEL_NAMES[label]}  geometric distance {d:.2f} m")
-    order = np.argsort(-np.abs(mpcs.gains))
+    order = a + np.argsort(-np.abs(paths.gains[a:b]))
     for i in order[:4]:
-        print(f"   path: delay {mpcs.delays[i] * 1e9:7.2f} ns "
-              f"({mpcs.delays[i] * SPEED_OF_LIGHT:6.2f} m), "
-              f"|gain| {np.abs(mpcs.gains[i]):.2e}, "
-              f"azimuth {np.degrees(mpcs.azimuths[i]):7.1f} deg")
+        print(f"   path: delay {paths.delays[i] * 1e9:7.2f} ns "
+              f"({paths.delays[i] * SPEED_OF_LIGHT:6.2f} m), "
+              f"|gain| {np.abs(paths.gains[i]):.2e}, "
+              f"azimuth {np.degrees(paths.azimuths[i]):7.1f} deg")
     if len(shown) == 3:
         break
 

@@ -4,10 +4,11 @@ describe / report.
 All configs are JSON; flags override config fields and the effective
 merged config is echoed into each output directory.  Exit codes: 0 on
 success, 2 on usage errors (including a malformed --split-json, a bad
---config, --grid or --scenario, or a split that leaves a domain empty),
-3 when a non-finite value aborts a run, 4 when a dataset or checkpoint
-file is missing or disagrees with its manifest, or an output directory
-is locked by a live process.
+--config, --grid or --scenario, an --out that cannot be made where it
+points, such as a path under a file, or a split that leaves a domain
+empty), 3 when a non-finite value aborts a run, 4 when a dataset or
+checkpoint file is missing or disagrees with its manifest, or an output
+directory is locked by a live process.
 """
 
 from __future__ import annotations
@@ -47,6 +48,25 @@ def _load_json(path, flag):
         raise UsageError(f"{flag}: {exc}") from None
 
 
+def _out_dir(path):
+    """`path`, created as a directory; one that cannot be is a usage
+    error."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise UsageError(f"--out: {exc}") from None
+    return path
+
+
+def _check_out_file(path):
+    """A usage error unless `path` names a file in an existing directory."""
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        raise UsageError(f"--out: {parent}: not an existing directory")
+    if os.path.isdir(path):
+        raise UsageError(f"--out: {path}: is a directory")
+
+
 def _train_config(flag, *layers):
     """TrainConfig from override dicts merged left to right; an unknown key
     or an invalid value is a usage error naming `flag`."""
@@ -73,7 +93,7 @@ def cmd_gen(args):
                     else desk_scenario())
     except (OSError, KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"--scenario: {type(exc).__name__}: {exc}") from None
-    with dataio.DirectoryLock(args.out):
+    with dataio.DirectoryLock(_out_dir(args.out)):
         ds = generate_dataset(scenario, args.scenes, args.seed)
         dataio.save_dataset(ds, args.out)
         _echo_config(args.out, {"scenario": scenario.to_dict(),
@@ -107,7 +127,7 @@ def cmd_train(args):
                         {k: v for k, v in flags.items() if v is not None})
     split = _split_from(ds, args)
     training.require_links(ds, split)
-    with dataio.DirectoryLock(args.out):
+    with dataio.DirectoryLock(_out_dir(args.out)):
         result = training.train(ds, split, cfg)
         _echo_config(args.out, cfg.to_dict())
         dataio.write_file(os.path.join(args.out, "train_log.csv"),
@@ -207,11 +227,13 @@ def cmd_ablate(args):
         except (KeyError, TypeError) as exc:
             raise UsageError(f"--grid: rows need a name and overrides "
                              f"({type(exc).__name__}: {exc})") from None
-    # every row and seed is checked before the first run trains
+    # every row and seed, and --out, is checked before the first run trains
     for name, overrides in grid:
         _train_config(f"--grid row {name!r}", base.to_dict(), overrides)
     for seed in args.seeds:
         _train_config("--seeds", base.to_dict(), {"seed": seed})
+    if args.out:
+        _check_out_file(args.out)
     rows = training.run_ablation(ds, split, base, grid=grid,
                                  seeds=tuple(args.seeds))
     csv = training.ablation_csv(rows)
@@ -234,6 +256,8 @@ def cmd_describe(args):
 
 
 def cmd_report(args):
+    if args.out:
+        _check_out_file(args.out)
     manifest, m = _load_and_score(args.run, args, "target")
     lines = ["metric,value",
              f"best_epoch,{manifest['best_epoch']}",

@@ -176,8 +176,11 @@ class Scenario:
                 or _is_finite_number(self.noise_snr_db)):
             raise ValueError(f"noise_snr_db must be a finite number or null, "
                              f"not {self.noise_snr_db!r}")
-        if not self.carrier_freq > self.bandwidth > 0:
-            raise ValueError("require carrier_freq > bandwidth > 0")
+        if not (all(map(_is_finite_number, (self.carrier_freq,
+                                             self.bandwidth)))
+                and self.carrier_freq > self.bandwidth > 0):
+            raise ValueError(f"require finite carrier_freq > bandwidth > 0, "
+                             f"not {self.carrier_freq!r}, {self.bandwidth!r}")
 
     @property
     def wavelength(self):
@@ -253,35 +256,34 @@ def steering_vector(azimuth, elevation, array):
     return np.exp(1j * phase).reshape((array.size,) + azimuth.shape)
 
 
-def synth_cfr(mpcs, scenario, out=None):
+def synth_cfr(paths, scenario, counts=None, out=None):
     """Channel matrix H [M, K]: column k = sum_p gain_p a_p exp(-2j pi f_k tau_p).
 
-    `mpcs` is one MpcSet, giving [M, K], or a sequence of n of them (a
-    scene's links), giving [n, M, K].  The scene form computes every
-    steering vector and phase in one pass over the concatenated paths,
-    then runs one [M, P] @ [P, K] matmul per link, so each link's bytes
-    equal its one-link call.  Each matmul writes straight into its link's
-    row of `out` ([n, M, K] complex, e.g. a dataset's rows), which is
-    allocated when not given.
+    `paths` is one link's MpcSet, giving [M, K]; with `counts` (int [n],
+    the paths of each link) it holds n links' paths link-major, as the
+    grid tracer returns them, giving [n, M, K].  Every steering vector and
+    phase is computed in one pass, then one [M, P] @ [P, K] matmul runs
+    per link, so each link's bytes equal its one-link call.  Each matmul
+    writes straight into its link's row of `out` ([n, M, K] complex, e.g.
+    a dataset's rows), which is allocated when not given.
     """
-    links = [mpcs] if isinstance(mpcs, MpcSet) else list(mpcs)
-    counts = np.array([len(m) for m in links], int)
-    if (counts == 0).any():
+    sizes = np.atleast_1d(len(paths) if counts is None else counts)
+    if not sizes.all():
         raise EmptyLink("cannot synthesize CFR from an empty path set")
-    gains, azimuths, elevations, delays = (
-        np.concatenate([getattr(m, name) for m in links])
-        for name in ("gains", "azimuths", "elevations", "delays"))
-    a_mat = steering_vector(azimuths, elevations, scenario.array)  # [M, P]
-    a_mat *= gains[None, :]
+    if sizes.sum() != len(paths):
+        raise ValueError(f"counts sum to {sizes.sum()}, not {len(paths)}")
+    a_mat = steering_vector(paths.azimuths, paths.elevations,
+                            scenario.array)                    # [M, P]
+    a_mat *= paths.gains[None, :]
     freqs = scenario.subcarrier_freqs()
-    phases = np.exp(-2j * np.pi * np.outer(delays, freqs))  # [P, K]
+    phases = np.exp(-2j * np.pi * np.outer(paths.delays, freqs))  # [P, K]
     if out is None:
-        out = np.empty((len(links), scenario.array.size,
+        out = np.empty((len(sizes), scenario.array.size,
                         scenario.n_subcarriers), complex)
-    ends = np.cumsum(counts)
-    for h, a, b in zip(out, ends - counts, ends):
+    ends = np.cumsum(sizes)
+    for h, a, b in zip(out, ends - sizes, ends):
         np.matmul(a_mat[:, a:b], phases[a:b], out=h)
-    return out[0] if isinstance(mpcs, MpcSet) else out
+    return out[0] if counts is None else out
 
 
 # ----------------------------------------------------------------------
@@ -372,9 +374,11 @@ def trace_paths(scenario, scene, ue, n_keep=None):
     `ue` is one point [3] or a grid [L, 3]; `n_keep` (default
     scenario.max_paths) is an int or one int per grid point, and truncates
     each link to its strongest n paths, kept in emission order: the direct
-    path, then reflections by face.  A grid returns one (MpcSet, label)
-    per point, or None where no path survives; one point returns its
-    (MpcSet, label) and raises EmptyLink when nothing survives.
+    path, then reflections by face.  A grid returns (paths, counts,
+    labels): one MpcSet of every kept path, link-major, the int [L] paths
+    kept per link (0 where no path survives) and the [L] labels.  One
+    point returns its (MpcSet, label) and raises EmptyLink when nothing
+    survives.
     """
     bs = np.asarray(scenario.bs_position, float)
     ue = np.asarray(ue, float)
@@ -433,18 +437,12 @@ def trace_paths(scenario, scene, ue, n_keep=None):
     strongest = np.lexsort((-np.abs(gains), link))
     keep = np.sort(strongest[rank < n_keep[link]])
     kept = np.bincount(link[keep], minlength=n_links)
-    ends = np.cumsum(kept)
-    gains, azimuths = gains[keep], azimuths[keep]
-    elevations, delays = elevations[keep], delays[keep]
-    out = [None if a == b else (MpcSet(gains[a:b], azimuths[a:b],
-                                       elevations[a:b], delays[a:b]),
-                                int(labels[l]))
-           for l, (a, b) in enumerate(zip(ends - kept, ends))]
+    paths = MpcSet(gains[keep], azimuths[keep], elevations[keep], delays[keep])
     if ue.ndim == 2:
-        return out
-    if out[0] is None:
+        return paths, kept, labels
+    if not kept[0]:
         raise EmptyLink(f"no surviving path to UE at {ue.tolist()}")
-    return out[0]
+    return paths, int(labels[0])
 
 
 # ----------------------------------------------------------------------
@@ -487,13 +485,15 @@ class Dataset:
 def generate_dataset(scenario, n_scenes, seed):
     """All links of all scenes, emitted in (scene_id, grid index) order.
 
-    Links with zero surviving paths are dropped and recorded in the
-    manifest.  Output is a pure function of (scenario, n_scenes, seed).
+    Each scene is traced once; links with a zero path count are dropped
+    and recorded in the manifest, and the kept links' ids and labels are
+    read from the stacked [n_scenes, L] counts.  Output is a pure
+    function of (scenario, n_scenes, seed).
     """
     if n_scenes < 1:
         raise ValueError("need at least one scene")
-    # trace every scene first (each link's MpcSet is small), then write
-    # each scene's CFRs straight into the one preallocated array
+    # trace every scene first (one MpcSet each), then write each scene's
+    # CFRs straight into the one preallocated array
     grid = scenario.ue_grid
     traced = []
     for t in range(n_scenes):
@@ -504,31 +504,29 @@ def generate_dataset(scenario, n_scenes, seed):
                 scenario.min_paths, scenario.max_paths + 1))
                 for l in range(len(grid))]
         traced.append(trace_paths(scenario, scene, grid, n_keep))
-    kept = [(t, l) for t, links in enumerate(traced)
-            for l, link in enumerate(links) if link is not None]
-    dropped = [[t, l] for t, links in enumerate(traced)
-               for l, link in enumerate(links) if link is None]
+    paths, counts, labels = zip(*traced)
+    kept = np.stack(counts) > 0                          # [n_scenes, L]
+    scene_ids, grid_ids = np.nonzero(kept)
+    dropped = np.argwhere(~kept).tolist()
+    labels = np.stack(labels)[kept].astype(np.uint8)
 
-    cfr = np.empty((len(kept), scenario.array.size, scenario.n_subcarriers),
+    cfr = np.empty((len(labels), scenario.array.size, scenario.n_subcarriers),
                    complex)
-    labels = np.array([traced[t][l][1] for t, l in kept], np.uint8)
     i = 0
-    for links in traced:
-        mpcs = [link[0] for link in links if link is not None]
-        if mpcs:
-            synth_cfr(mpcs, scenario, out=cfr[i:i + len(mpcs)])
-            i += len(mpcs)
+    for scene_paths, c in zip(paths, counts):
+        c = c[c > 0]
+        if len(c):
+            synth_cfr(scene_paths, scenario, c, out=cfr[i:i + len(c)])
+            i += len(c)
     if scenario.noise_snr_db is not None:
-        for h, (t, l) in zip(cfr, kept):
+        for h, t, l in zip(cfr, scene_ids.tolist(), grid_ids.tolist()):
             noise_rng = np.random.default_rng([int(seed), t, l, 7])
             _add_noise(h, scenario.noise_snr_db, noise_rng)
-    scene_ids = np.array([t for t, _ in kept], np.int64)
-    grid_ids = np.array([l for _, l in kept], np.int64)
     manifest = {
         "scenario": scenario.to_dict(),
         "n_scenes": int(n_scenes),
         "seed": int(seed),
-        "n_samples": len(kept),
+        "n_samples": len(labels),
         "dropped": dropped,
         "scene_of_sample": scene_ids.tolist(),
         "grid_of_sample": grid_ids.tolist(),

@@ -233,6 +233,8 @@ def _bad_geometry(desk):
         "drift-minus-5": {"traffic_drift": -5},
         "grid-nan": {"ue_grid": [[np.nan, 5.5, 1.5], *desk["ue_grid"][1:]]},
         "spacing-string": {"grid_spacing": "x"},
+        "carrier-inf": {"carrier_freq": np.inf},
+        "bandwidth-true": {"bandwidth": True},
     }
 
 
@@ -255,10 +257,11 @@ def test_cli_dataset_with_malformed_geometry_exits_4(dataset, tmp_path,
     ds_dir, ckpt = save_untrained_run(dataset, tmp_path)
     path = tmp_path / "ds" / "manifest.json"
     manifest = json.loads(path.read_text())
-    path.write_text(json.dumps({**manifest, "scenario": {
-        **manifest["scenario"], "traffic_drift": -5}}))
-    assert cli.main(["eval", "--ckpt", ckpt, "--data", ds_dir]) == 4
-    assert_one_error_line(capsys, f"semloc: {path}: scenario")
+    for edit in ({"traffic_drift": -5}, {"carrier_freq": np.inf}):
+        path.write_text(json.dumps({**manifest, "scenario": {
+            **manifest["scenario"], **edit}}))
+        assert cli.main(["eval", "--ckpt", ckpt, "--data", ds_dir]) == 4
+        assert_one_error_line(capsys, f"semloc: {path}: scenario")
 
 
 def test_cli_gen_train_eval_report_pipeline(tmp_path, capsys, monkeypatch):
@@ -316,6 +319,33 @@ SPLIT_4 = '{"source": [0, 2], "val": [2, 3], "target": [3, 4]}'
 def assert_one_error_line(capsys, prefix="semloc: "):
     err = capsys.readouterr().err
     assert err.startswith(prefix) and err.count("\n") == 1, err
+
+
+def test_cli_unusable_out_exits_2(dataset, tmp_path, capsys, monkeypatch):
+    # each once raised FileExistsError, NotADirectoryError or
+    # FileNotFoundError; ablate only after every run had trained
+    ds_dir, ckpt = save_untrained_run(dataset, tmp_path)
+    f = tmp_path / "file"
+    f.write_text("x")
+
+    def run_ablation(*args, **kwargs):
+        raise AssertionError("ablate trained before checking --out")
+    monkeypatch.setattr(training, "run_ablation", run_ablation)
+    train = ["train", "--data", ds_dir, "--split-json", SPLIT_4,
+             "--epochs", "1", "--out"]
+    ablate = ["ablate", "--data", ds_dir, "--split-json", SPLIT_4,
+              "--seeds", "0", "--out"]
+    report = ["report", "--run", ckpt, "--out"]
+    for argv in (["gen", "--scenes", "1", "--out", str(f)],
+                 ["gen", "--scenes", "1", "--out", str(f / "sub")],
+                 [*train, str(f)], [*train, str(f / "sub")],
+                 [*ablate, str(f / "x.csv")], [*ablate, str(tmp_path)],
+                 [*report, str(f / "x.csv")],
+                 [*report, str(tmp_path / "nope" / "x.csv")]):
+        assert cli.main(argv) == 2, argv
+        assert_one_error_line(capsys, "semloc: --out: ")
+    assert f.read_text() == "x"
+    assert not (tmp_path / "nope").exists()
 
 
 def test_cli_split_json_is_inline_and_validated(dataset, tmp_path, capsys):

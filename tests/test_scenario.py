@@ -110,24 +110,37 @@ def test_synth_cfr_empty_path_set_raises():
         synth_cfr(empty, sc)
 
 
+def _split_links(paths, counts):
+    """One MpcSet per link of the grid tracer's link-major `paths`."""
+    ends = np.cumsum(counts)
+    return [MpcSet(paths.gains[a:b], paths.azimuths[a:b],
+                   paths.elevations[a:b], paths.delays[a:b])
+            for a, b in zip(ends - counts, ends)]
+
+
 @pytest.mark.parametrize("make", [desk_scenario, S.full_scale_scenario])
 def test_synth_cfr_scene_form_equals_one_link_calls(make):
     sc = make()
-    links = [link[0] for link in trace_paths(sc, make_scene(sc, 1, 3, 8),
-                                             sc.ue_grid) if link is not None]
-    assert len(links) > 100 and len({len(m) for m in links}) > 1
-    got = synth_cfr(links, sc)
-    want = np.stack([synth_cfr(m, sc) for m in links])
-    assert got.shape == (len(links), sc.array.size, sc.n_subcarriers)
+    paths, counts, _ = trace_paths(sc, make_scene(sc, 1, 3, 8), sc.ue_grid)
+    assert counts.sum() == len(paths)
+    counts = counts[counts > 0]
+    assert len(counts) > 100 and len(set(counts.tolist())) > 1
+    got = synth_cfr(paths, sc, counts)
+    want = np.stack([synth_cfr(m, sc) for m in _split_links(paths, counts)])
+    assert got.shape == (len(counts), sc.array.size, sc.n_subcarriers)
     assert got.tobytes() == want.tobytes()
 
 
 def test_synth_cfr_scene_form_with_an_empty_link_raises():
     sc = _tiny_scenario()
-    (link, _), = trace_paths(sc, Scene(0, []), sc.ue_grid)
-    empty = MpcSet(np.zeros(0, complex), np.zeros(0), np.zeros(0), np.zeros(0))
+    link, (n,), _ = trace_paths(sc, Scene(0, []), sc.ue_grid)
+    assert n == len(link) > 0
+    twice = MpcSet(*(np.tile(getattr(link, name), 2) for name in
+                     ("gains", "azimuths", "elevations", "delays")))
     with pytest.raises(EmptyLink):
-        synth_cfr([link, empty, link], sc)
+        synth_cfr(twice, sc, [n, 0, n])
+    with pytest.raises(ValueError):  # counts must cover every path
+        synth_cfr(twice, sc, [n])
 
 
 # ----------------------------------------------------------------------
@@ -516,32 +529,37 @@ def test_grid_tracer_matches_one_point_tracer_on_a_desk_scene():
     n_keep = [int(np.random.default_rng([seed, t, l]).integers(
         sc.min_paths, sc.max_paths + 1)) for l in range(len(sc.ue_grid))]
     assert len(set(n_keep)) > 1
-    links = trace_paths(sc, scene, sc.ue_grid, n_keep)
-    assert len(links) == len(sc.ue_grid)
+    paths, counts, labels = trace_paths(sc, scene, sc.ue_grid, n_keep)
+    assert counts.shape == labels.shape == (len(sc.ue_grid),)
+    assert counts.sum() == len(paths)
     dropped = 0
-    for ue, k, got in zip(sc.ue_grid, n_keep, links):
+    for ue, k, n, got in zip(sc.ue_grid, n_keep, counts,
+                             zip(_split_links(paths, counts), labels)):
         try:
             want = trace_paths(sc, scene, ue, k)
         except EmptyLink:
-            assert got is None
+            assert n == 0
             dropped += 1
             continue
+        assert n > 0
         _assert_links_equal(got, want)
-    assert 0 < dropped < len(links)
+    assert 0 < dropped < len(counts)
 
 
-def test_grid_tracer_gives_none_where_one_point_raises_empty_link():
+def test_grid_tracer_gives_a_zero_count_where_one_point_raises_empty_link():
     empty = 0
     for sc, scene, ue, n_keep in _toy_links():
         per_link = None if n_keep is None else [n_keep]
-        (got,) = trace_paths(sc, scene, ue[None], per_link)
+        paths, (n,), (label,) = trace_paths(sc, scene, ue[None], per_link)
+        assert n == len(paths)
         try:
             want = trace_paths(sc, scene, ue, n_keep)
         except EmptyLink:
-            assert got is None
+            assert n == 0
             empty += 1
             continue
-        _assert_links_equal(got, want)
+        assert n > 0
+        _assert_links_equal((paths, label), want)
     assert empty > 0
 
 
@@ -553,10 +571,13 @@ def test_grid_tracer_shapes():
     inside, outside = sc.ue_grid[0], np.array([-10.0, 0.0, 1.5])
     with pytest.raises(EmptyLink):
         trace_paths(sc, Scene(0, []), inside)
-    got = trace_paths(sc, Scene(0, []), np.stack([inside, outside]), [1, 2])
-    assert got[0] is None
-    _assert_links_equal(got[1], trace_paths(sc, Scene(0, []), outside, 2))
-    assert trace_paths(sc, Scene(0, []), np.zeros((0, 3))) == []
+    paths, counts, labels = trace_paths(sc, Scene(0, []),
+                                        np.stack([inside, outside]), [1, 2])
+    assert counts[0] == 0 and counts.sum() == len(paths)
+    _assert_links_equal((paths, labels[1]),
+                        trace_paths(sc, Scene(0, []), outside, 2))
+    paths, counts, labels = trace_paths(sc, Scene(0, []), np.zeros((0, 3)))
+    assert len(paths) == 0 and counts.shape == labels.shape == (0,)
     grid = np.stack([outside, outside])
     for ue, n_keep in ((np.zeros((2, 2)), None), (np.zeros((2, 3, 1)), None),
                        (grid, [3]), (grid, [3, 3, 3]), (grid, [[3, 3]]),
@@ -688,8 +709,9 @@ def test_generate_dataset_with_a_fully_dropped_scene():
     assert ds.scene_ids.tolist() == ds.manifest["scene_of_sample"] == [1, 1]
     assert ds.grid_ids.tolist() == ds.manifest["grid_of_sample"] == [0, 1]
     assert ds.manifest["dropped"] == [[0, 0], [0, 1]]
-    links = [link for link, _ in trace_paths(sc, Scene(1, []), sc.ue_grid)]
-    assert ds.cfr.tobytes() == synth_cfr(links, sc).tobytes()
+    paths, counts, _ = trace_paths(sc, Scene(1, []), sc.ue_grid)
+    assert counts.sum() == len(paths)
+    assert ds.cfr.tobytes() == synth_cfr(paths, sc, counts).tobytes()
 
 
 def test_generate_dataset_peak_memory_is_close_to_one_cfr():
