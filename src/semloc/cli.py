@@ -7,7 +7,8 @@ success, 2 on usage errors (including a malformed --split-json, a bad
 --config, --grid or --scenario, an --out that cannot be made where it
 points, such as a path under a file, or a split that leaves a domain
 empty), 3 when a non-finite value aborts a run, 4 when a dataset or
-checkpoint file is missing or disagrees with its manifest, or an output
+checkpoint file is missing or disagrees with its manifest, a checkpoint
+holds a non-finite value or a negative running variance, or an output
 directory is locked by a live process.
 """
 

@@ -5,9 +5,10 @@ as interleaved little-endian float32 re/im, layout
 [sample][antenna][subcarrier]), coords.bin (float32 [sample][3], meters)
 and labels.bin (uint8 [sample]).  Checkpoints are manifest.json plus
 params.bin: raw little-endian float64, concatenated in stable
-parameter-name sort order.  Every file is written to a temporary name in
-its directory and then renamed over the target, so a crash never leaves a
-half-written file.
+parameter-name sort order; loading refuses a non-finite value and a
+negative batch-norm running variance.  Every file is written to a
+temporary name in its directory and then renamed over the target, so a
+crash never leaves a half-written file.
 """
 
 from __future__ import annotations
@@ -181,6 +182,15 @@ def load_checkpoint(in_dir):
     for name, shape, size in zip(order, shapes, sizes):
         params[name] = blob[ofs:ofs + size].reshape(shape)
         ofs += size
+    # a non-finite value or a variance below 0 would evaluate to a score
+    # (an infinite variance makes its channel constant) or abort as if a
+    # run had diverged; either is a broken file
+    path = os.path.join(in_dir, "params.bin")
+    for name, a in params.items():
+        if not np.isfinite(a).all():
+            raise InputError(f"{path}: {name} holds a non-finite value")
+        if name.endswith(".bn.var") and (a < 0).any():
+            raise InputError(f"{path}: {name} holds a negative variance")
     return params, manifest
 
 

@@ -81,6 +81,11 @@ def no_grad():
         _GRAD_ENABLED[0] = saved
 
 
+def grad_enabled():
+    """Whether new tensors record a graph: False inside ``no_grad()``."""
+    return _GRAD_ENABLED[0]
+
+
 def _unbroadcast(grad, shape):
     """Sum `grad` down to `shape` (inverse of numpy broadcasting)."""
     while grad.ndim > len(shape):
@@ -513,9 +518,12 @@ def max_pool2d(x):
     d = x.data
     # max over column pairs, then over row pairs: the same max(max(00, 01),
     # max(10, 11)) per window as over the four corners, in two passes.
-    # np.maximum may not keep the first of a +0.0/-0.0 tie, but a pool input
-    # is batch-norm output gamma*xhat + beta, which is never -0.0.  Both
-    # passes allocate in the input's memory order.
+    # np.maximum may not keep the first of a +0.0/-0.0 tie.  In training a
+    # pool input is batch-norm output gamma*xhat + beta, never -0.0 unless
+    # beta is; the eval forward pools raw conv output, which can hold -0.0,
+    # and there batch norm's + beta, which follows, erases the sign of the
+    # zero picked (Model.extract keeps batch norm first where beta is -0.0).
+    # Both passes allocate in the input's memory order.
     col0, col1 = d[:, :, :, 0::2], d[:, :, :, 1::2]
     cmax = np.maximum(col0, col1)
     out_data = np.maximum(cmax[:, :, 0::2], cmax[:, :, 1::2])

@@ -3,11 +3,17 @@ classification heads.
 
 The extractor is four conv blocks (3x3 same conv -> batch norm -> 2x2
 max pool -> ReLU); its flattened output is the shared feature vector,
-nonnegative because the block ends in ReLU.  Each head is an MLP whose
-hidden blocks are linear -> 1-D batch norm -> ReLU; the regressor's
-final layer is a bare linear map, the classifier's final layer feeds a
-softmax.  For two classes the softmax over a logit pair coincides with
-a sigmoid on the logit difference, so softmax is used throughout.
+nonnegative because the block ends in ReLU.  An eval forward that
+records no graph pools each conv output before batch norm, so batch norm
+maps a quarter of the values.  The bytes stay the same: eval batch norm
+is a fixed per-channel map, monotone under round-to-nearest, so it
+commutes with the max where gamma > 0, and a channel with gamma < 0
+negates its weight row, gamma and running mean, which negates its conv
+output exactly.  Each head is an MLP whose hidden blocks are linear ->
+1-D batch norm -> ReLU; the regressor's final layer is a bare linear
+map, the classifier's final layer feeds a softmax.  For two classes the
+softmax over a logit pair coincides with a sigmoid on the logit
+difference, so softmax is used throughout.
 """
 
 from __future__ import annotations
@@ -148,17 +154,57 @@ class Model:
                 x = x + self.params[f"{name}.b"]
         return x
 
+    def _pool_first(self, name):
+        """The conv weight, gamma and running mean with which eval block
+        `name` pools its conv output before batch norm, or None where it
+        keeps batch norm first.
+
+        Eval batch norm maps each channel by ((x - mean) * rstd) * gamma +
+        beta, with rstd > 0.  Each op has a fixed second operand, so under
+        round-to-nearest the map is non-decreasing in x where gamma > 0,
+        and the max of the mapped window is the map of the window's max.
+        Where gamma < 0 the channel's weight row, gamma and mean are
+        negated: the conv then gives exactly -x, as rounding is
+        sign-symmetric, and the map of -x gives the same bits.  The sign
+        of a zero conv output can differ between the two orders; + beta
+        erases it unless beta is -0.0.  A gamma of +-0 turns an infinite
+        (x - mean) * rstd into NaN, which pooling first could drop.
+        Either keeps batch norm first."""
+        gamma = self.params[f"{name}.bn.gamma"]
+        g, b = gamma.data, self.params[f"{name}.bn.beta"].data
+        if not np.all(g != 0) or np.any(np.signbit(b) & (b == 0)):
+            return None
+        w, mean = self.params[f"{name}.w"], self.running[f"{name}.bn.mean"]
+        if np.any(g < 0):
+            sign = np.where(g < 0, -1.0, 1.0)
+            w = Tensor(w.data * sign[:, None, None, None])
+            gamma, mean = Tensor(g * sign), mean * sign
+        return w, gamma, mean
+
     def extract(self, x, train=False):
-        """Shared features from a fingerprint batch [B, C, H, W]."""
+        """Shared features from a fingerprint batch [B, C, H, W].
+
+        An eval forward that records no graph runs each block as conv ->
+        max pool -> batch norm -> ReLU, on a quarter of the batch-norm
+        work, with the bytes of conv -> batch norm -> pool -> ReLU (see
+        `_pool_first`); every other forward runs the latter."""
         x = x if isinstance(x, Tensor) else Tensor(x)
         if x.ndim != 4 or tuple(x.shape[1:]) != tuple(self.arch.input_shape):
             raise ShapeMismatch(
                 f"batch shape {x.shape} does not match input {self.arch.input_shape}")
+        eval_only = not (train or engine.grad_enabled())
         for i in range(len(self.arch.conv_channels)):
             name = f"theta1.conv{i}"
-            x = engine.conv2d(x, self.params[f"{name}.w"])
-            x = self._bn(x, name, train)
-            x = engine.max_pool2d(x)
+            reorder = eval_only and self._pool_first(name)
+            if reorder:
+                w, gamma, mean = reorder
+                x = engine.max_pool2d(engine.conv2d(x, w))
+                x = engine.batch_norm(
+                    x, gamma, self.params[f"{name}.bn.beta"], mean,
+                    self.running[f"{name}.bn.var"], training=False)
+            else:
+                x = engine.conv2d(x, self.params[f"{name}.w"])
+                x = engine.max_pool2d(self._bn(x, name, train))
             x = engine.relu(x)
         return x.reshape(x.shape[0], -1)
 

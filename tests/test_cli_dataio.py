@@ -620,12 +620,40 @@ def test_cli_train_on_an_empty_split_exits_2(dataset, tmp_path, capsys):
     assert_one_error_line(capsys)
 
 
-def test_cli_eval_of_a_non_finite_checkpoint_exits_3(dataset, tmp_path,
-                                                     capsys):
+BAD_CHECKPOINT_VALUES = {
+    # an infinite variance once scored with exit 0 (its channel constant),
+    # the others aborted with exit 3 as if the run had diverged
+    "theta1.conv0.bn.var": (np.inf, "holds a non-finite value"),
+    "theta1.conv1.bn.var": (-1.0, "holds a negative variance"),
+    "theta1.conv0.bn.gamma": (np.nan, "holds a non-finite value"),
+    "theta2.lin1.w": (np.nan, "holds a non-finite value"),
+}
+
+
+def test_cli_checkpoint_with_bad_values_exits_4(dataset, tmp_path, capsys):
+    ds_dir, ckpt = save_untrained_run(dataset, tmp_path)
+    good, manifest = dataio.load_checkpoint(ckpt)
+    for name, (value, why) in BAD_CHECKPOINT_VALUES.items():
+        state = {k: v.copy() for k, v in good.items()}
+        state[name].flat[0] = value
+        dataio.save_checkpoint(ckpt, state, manifest)
+        for argv in (["eval", "--ckpt", ckpt, "--data", ds_dir,
+                      "--split-json", SPLIT_4],
+                     ["report", "--run", ckpt, "--data", ds_dir,
+                      "--split-json", SPLIT_4],
+                     ["report", "--run", ckpt]):
+            assert cli.main(argv) == 4, (name, argv)
+            assert_one_error_line(
+                capsys, f"semloc: {os.path.join(ckpt, 'params.bin')}: "
+                        f"{name} {why}")
+
+
+def test_cli_eval_that_overflows_exits_3(dataset, tmp_path, capsys):
+    # finite parameters whose forward overflows still abort the eval
     ds_dir, ckpt = save_untrained_run(dataset, tmp_path)
     state, manifest = dataio.load_checkpoint(ckpt)
     state = {k: v.copy() for k, v in state.items()}
-    state["theta2.lin1.w"][0, 0] = np.nan
+    state["theta2.lin1.w"][:] = 1e308
     dataio.save_checkpoint(ckpt, state, manifest)
     assert cli.main(["eval", "--ckpt", ckpt, "--data", ds_dir,
                      "--split-json", SPLIT_4]) == 3

@@ -750,7 +750,8 @@ def test_eval_bytes_do_not_depend_on_batching():
 
 def test_eval_peak_memory_is_bounded_by_the_batch_budget():
     # 40 full-scale samples in one batch hold a 21 MB conv0 output and its
-    # 21 MB batch-norm output at once; batches of 8 hold 4 MiB of each
+    # 10.5 MB column-pair max, the pool's first pass, at once; batches of 8
+    # hold 4 MiB of conv output and 2 MiB of column-pair max
     from semloc import training
 
     model = _perturbed_model((1, 64, 64))

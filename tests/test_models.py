@@ -1,12 +1,15 @@
 """Tests for network assembly: shapes, initialization determinism,
-closed-form parameter counts, eval-mode invariances, and the channel-major
-memory layout of the extractor's activations."""
+closed-form parameter counts, eval-mode invariances, the channel-major
+memory layout of the extractor's activations, and the pool-first eval
+extractor against the batch-norm-first one it replaced."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
-from semloc import engine
-from semloc.engine import ShapeMismatch
+from semloc import engine, training
+from semloc.engine import ShapeMismatch, Tensor
 from semloc.models import ArchConfig, Model
 
 ARCH = ArchConfig(conv_channels=[2, 3, 3, 4], mlp_widths=[8, 6],
@@ -176,9 +179,157 @@ def test_theta1_activations_and_gradients_are_channel_major(monkeypatch,
     else:
         with engine.no_grad():
             model.forward(rng.random((256, 1, 16, 32)), train=False)
-    assert [name for name, _ in seen] == \
-        ["conv2d", "batch_norm", "max_pool2d", "relu"] * 4
+    # an eval forward that records no graph pools before batch norm
+    block = (["conv2d", "batch_norm", "max_pool2d", "relu"] if train
+             else ["conv2d", "max_pool2d", "batch_norm", "relu"])
+    assert [name for name, _ in seen] == block * 4
     for i, (name, t) in enumerate(seen):
         assert _channel_major(t.data), (i, name)
         if train:
             assert _channel_major(t.grad), (i, name)
+
+
+# ----------------------------------------------------------------------
+# the pool-first eval extractor against the batch-norm-first oracle
+# ----------------------------------------------------------------------
+
+def extract_bn_first(model, x):
+    """The eval extractor before pooling moved ahead of batch norm: conv ->
+    batch norm -> max pool -> ReLU in every block, with no graph."""
+    with engine.no_grad():
+        x = Tensor(x)
+        for i in range(len(model.arch.conv_channels)):
+            name = f"theta1.conv{i}"
+            x = engine.conv2d(x, model.params[f"{name}.w"])
+            x = engine.batch_norm(
+                x, model.params[f"{name}.bn.gamma"],
+                model.params[f"{name}.bn.beta"],
+                model.running[f"{name}.bn.mean"],
+                model.running[f"{name}.bn.var"], training=False)
+            x = engine.relu(engine.max_pool2d(x))
+        return x.reshape(x.shape[0], -1)
+
+
+def assert_extract_matches_oracle(model, x):
+    with engine.no_grad():
+        got = model.extract(x).data
+    want = extract_bn_first(model, x).data
+    assert got.tobytes() == want.tobytes()
+    assert got.strides == want.strides
+
+
+def _set_blocks(model, blocks):
+    """Each block's (conv weight, gamma, beta, running mean, running var)."""
+    for i, (w, gamma, beta, mean, var) in enumerate(blocks):
+        name = f"theta1.conv{i}"
+        model.params[f"{name}.w"].data = w
+        model.params[f"{name}.bn.gamma"].data = gamma
+        model.params[f"{name}.bn.beta"].data = beta
+        model.running[f"{name}.bn.mean"] = mean
+        model.running[f"{name}.bn.var"] = var
+
+
+# multiples of 1/2, so conv sums are often exactly 0 and windows often tie;
+# gamma and beta hold both zeros, and scaled inputs underflow or overflow
+HALVES = st.sampled_from([-1.5, -1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 1.5])
+GAMMAS = st.sampled_from([-2.0, -0.5, -0.0, 0.0, 1.0])
+BETAS = st.sampled_from([-0.0, 0.0, 0.5])
+MEANS = st.sampled_from([-0.0, 0.0, 0.5])
+VARS = st.sampled_from([0.0, 1.0])
+SCALES = st.sampled_from([1.0, 2.0 ** -1070, 2.0 ** 1012])
+
+
+@st.composite
+def lattice_extractors(draw):
+    """A one- or two-block extractor on lattice values and its input."""
+    channels = draw(st.lists(st.integers(1, 3), min_size=1, max_size=2))
+    down = 2 ** len(channels)
+    h, w = down * draw(st.integers(1, 2)), down * draw(st.integers(1, 2))
+    model = Model(ArchConfig(conv_channels=channels, mlp_widths=[4],
+                             input_shape=(1, h, w)), seed=0)
+    blocks, c_in = [], 1
+    for c in channels:
+        weight = draw(arrays(np.float64, (c, c_in, 3, 3), elements=HALVES))
+        blocks.append((weight, *(draw(arrays(np.float64, c, elements=e))
+                                 for e in (GAMMAS, BETAS, MEANS, VARS))))
+        c_in = c
+    _set_blocks(model, blocks)
+    # each input value scaled to underflow in the conv, or to overflow in
+    # batch norm; 2 ** 1012 keeps the input's sum finite, as a leaf needs
+    shape = (draw(st.integers(1, 3)), 1, h, w)
+    x = draw(arrays(np.float64, shape, elements=HALVES))
+    return model, x * draw(arrays(np.float64, shape, elements=SCALES))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(case=lattice_extractors())
+def test_property_eval_extract_matches_batch_norm_first(case):
+    with np.errstate(all="ignore"):
+        assert_extract_matches_oracle(*case)
+
+
+def _one_channel(w_center, gamma, beta):
+    """A one-block, one-channel extractor on 2x2 input whose conv scales
+    the input by `w_center`, with running mean 0 and variance 1."""
+    model = Model(ArchConfig(conv_channels=[1], mlp_widths=[4],
+                             input_shape=(1, 2, 2)), seed=0)
+    w = np.zeros((1, 1, 3, 3))
+    w[0, 0, 1, 1] = w_center
+    _set_blocks(model, [(w, np.array([gamma]), np.array([beta]),
+                         np.zeros(1), np.ones(1))])
+    return model
+
+
+def test_eval_extract_edge_cases_match_batch_norm_first():
+    x = np.array([0.0, 1.0, 2.0, 3.0]).reshape(1, 1, 2, 2)
+    # gamma = 0 maps a conv sum that overflowed to -inf to NaN, which a max
+    # over the raw sums would drop for the 4 beside it
+    huge = np.array([-2.0 ** 1023, 1.0, 1.0, 1.0]).reshape(1, 1, 2, 2)
+    for gamma in (0.0, -0.0):
+        with np.errstate(all="ignore"):
+            assert_extract_matches_oracle(_one_channel(4.0, gamma, 0.5), huge)
+    # gamma < 0 and beta = -0.0: the exactly zero conv sum maps to -0.0
+    # where batch norm runs first, to +0.0 on the negated weight
+    assert_extract_matches_oracle(_one_channel(1.0, -1.0, -0.0), x)
+    # gamma < 0 with rm = beta = 0 and an exactly zero conv sum
+    assert_extract_matches_oracle(_one_channel(1.0, -1.0, 0.0), x)
+    assert_extract_matches_oracle(_one_channel(1.0, -1.0, 0.0), -x)
+
+
+def _mixed_sign_model(arch, seed):
+    """A model whose gammas take both signs, with moved betas and running
+    statistics."""
+    model = Model(arch, seed=seed)
+    rng = np.random.default_rng(seed)
+    for name, stat in model.running.items():
+        stat[:] = (rng.uniform(0.5, 2.0, stat.shape) if name.endswith(".var")
+                   else rng.normal(scale=0.3, size=stat.shape))
+    for name, p in model.params.items():
+        if name.endswith(".bn.gamma"):
+            p.data = rng.normal(size=p.shape)
+        elif name.endswith(".bn.beta"):
+            p.data = rng.normal(scale=0.2, size=p.shape)
+    return model
+
+
+@pytest.mark.parametrize("arch", [ArchConfig(input_shape=(1, 16, 32)),
+                                  GATE_ARCH], ids=["default", "gate"])
+def test_evaluate_arrays_with_mixed_sign_gamma_matches_batch_norm_first(
+        monkeypatch, arch):
+    model = _mixed_sign_model(arch, seed=4)
+    gammas = np.concatenate([model.params[f"theta1.conv{i}.bn.gamma"].data
+                             for i in range(4)])
+    assert (gammas < 0).any() and (gammas > 0).any()
+    rng = np.random.default_rng(5)
+    n = 150
+    domain = training.DomainData(
+        inputs=rng.normal(size=(n, 1, 16, 32)),
+        coords=rng.normal(size=(n, 3)), labels=rng.integers(0, 3, n),
+        is_source=False)
+    assert_extract_matches_oracle(model, domain.inputs)
+    got = training.evaluate_arrays(model, domain)
+    monkeypatch.setattr(Model, "extract",
+                        lambda self, x, train=False: extract_bn_first(self, x))
+    want = training.evaluate_arrays(model, domain)
+    assert got.errors.tobytes() == want.errors.tobytes()
+    assert (got.rmse, got.accuracy) == (want.rmse, want.accuracy)
