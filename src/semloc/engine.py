@@ -6,7 +6,12 @@ max_pool2d, batch_norm, relu, sigmoid, (log_)softmax, elementwise
 arithmetic, reductions, concat and a vector Kronecker product.  Each
 primitive registers a closure that propagates adjoints to the parents
 that need a gradient; ``Tensor.backward`` walks the graph once in reverse
-topological order.  Inside ``no_grad()`` no graph is built at all, so
+topological order and frees it as it walks: each node drops its closure,
+parents and gradient once its closure has run, so the forward buffers
+and intermediate gradients go as soon as the last adjoint that reads them
+has run, and only leaves (parameters, user tensors) keep ``.grad``.
+Backward therefore runs once per forward; a second backward through a
+freed graph raises.  Inside ``no_grad()`` no graph is built at all, so
 no closure keeps a forward buffer alive.
 
 The conv2d gradients are im2col matmuls plus a col2im scatter, and
@@ -40,7 +45,8 @@ Finiteness is checked at the boundaries only: leaf tensors (user data,
 parameters, lifted constants), the loss in ``backward``, and the
 gradients and parameters in ``SGD.step``.  Intermediate values are not
 checked; a non-finite one reaches the loss, or the caller's check of a
-forward output.
+forward output.  A check sums its array once and confirms a non-finite
+sum entry by entry, so finite values whose sum overflows pass.
 """
 
 from __future__ import annotations
@@ -60,10 +66,18 @@ class NonFinite(FloatingPointError):
 
 def _check_finite(a, what="tensor"):
     # a finite sum implies all-finite entries (inf - inf propagates as nan),
-    # and summing is cheaper than materializing an isfinite mask
+    # and summing is cheaper than materializing an isfinite mask; only a
+    # sum that is not finite, which finite entries can reach by overflow,
+    # is confirmed by the mask
     with np.errstate(over="ignore", invalid="ignore"):
-        if not np.isfinite(np.sum(a)):
+        if not np.isfinite(np.sum(a)) and not np.isfinite(a).all():
             raise NonFinite(f"non-finite values in {what}")
+
+
+def _freed(g=None):
+    """The adjoint closure left on a node that backward has freed."""
+    raise RuntimeError("backward through a graph that an earlier backward "
+                       "freed: run the forward again")
 
 
 _GRAD_ENABLED = [True]
@@ -139,8 +153,14 @@ class Tensor:
     def backward(self):
         """Populate .grad on every requires_grad leaf reachable from self.
 
-        `self` must be a finite scalar.  Grads of the reachable graph are
-        reset first, so calling backward twice gives identical results.
+        `self` must be a finite scalar.  The leaves' grads are reset first,
+        so the result never accumulates over an earlier backward.  The walk
+        frees the graph as it goes: once a node's adjoint closure has run,
+        the node drops its closure, its parents and its gradient, so a
+        forward buffer or an intermediate gradient lives only until the
+        last adjoint that reads it.  Only leaves (parameters and user
+        tensors) keep .grad.  So backward runs once per forward: a second
+        backward through a freed node raises RuntimeError.
         """
         if self.data.size != 1:
             raise ShapeMismatch("backward() requires a scalar loss")
@@ -156,6 +176,8 @@ class Tensor:
                 continue
             if id(node) in visited:
                 continue
+            if node._backward is _freed:
+                _freed()  # raises before any gradient is touched
             visited.add(id(node))
             stack.append((node, True))
             for p in node._parents:
@@ -165,9 +187,15 @@ class Tensor:
         for node in topo:
             node.grad = None
         self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
+        # reverse topological order, popped so that the list holds no node
+        # it has passed
+        while topo:
+            node = topo.pop()
+            if node._backward is None:  # a leaf keeps its gradient
+                continue
+            if node.grad is not None:
                 node._backward(node.grad)
+            node._backward, node._parents, node.grad = _freed, (), None
 
     # -- operator sugar -------------------------------------------------
     def __add__(self, other):

@@ -19,7 +19,7 @@ import numpy as np
 from . import features as feat
 from . import losses
 from .dataio import scenario_from_manifest
-from .engine import SGD, _check_finite, no_grad
+from .engine import SGD, NonFinite, _check_finite, no_grad
 from .models import ArchConfig, Model
 from .scenario import _is_finite_number, _is_int
 
@@ -313,7 +313,8 @@ EVAL_ROW_TILE = 8
 
 def evaluate_arrays(model, domain):
     """Eval-mode metrics on one prepared domain.  The forward builds no
-    graph; its coordinates and class probabilities must be finite.
+    graph; its coordinates and class probabilities must be finite, and so
+    must the RMSE, which finite coordinates can overflow.
 
     The domain is cut into the fewest near-equal batches of whole
     EVAL_ROW_TILE-row tiles whose largest activation fits
@@ -338,8 +339,12 @@ def evaluate_arrays(model, domain):
         classes.append(out.probs.data.argmax(axis=1))
     pred = np.concatenate(preds)
     cls = np.concatenate(classes)
-    errors = np.linalg.norm(pred - domain.coords, axis=1)
-    rmse = float(np.sqrt(np.mean(errors ** 2)))
+    with np.errstate(over="ignore"):
+        errors = np.linalg.norm(pred - domain.coords, axis=1)
+        rmse = float(np.sqrt(np.mean(errors ** 2)))
+    # a finite RMSE implies finite errors and quantiles
+    if not np.isfinite(rmse):
+        raise NonFinite("non-finite localization error")
     acc = float(np.mean(cls == domain.labels))
     quantiles = {q: float(np.quantile(errors, q)) for q in (0.5, 0.67, 0.9, 0.95)}
     return Metrics(rmse=rmse, accuracy=acc, errors=np.sort(errors),

@@ -223,13 +223,29 @@ def test_broadcast_gradient_shapes():
     np.testing.assert_allclose(a.grad, np.broadcast_to(b.data.sum(), (3, 1)))
 
 
-def test_backward_twice_is_idempotent():
+def test_second_backward_through_a_freed_graph_raises():
+    # backward frees the graph it walks; a second walk through it would
+    # leave the first walk's leaf gradients in place, so it raises first
     a = Tensor(RNG.normal(size=(4,)), requires_grad=True)
-    loss = (E.square(a) * E.exp(a * 0.1)).sum()
+    y = E.exp(a * 0.1)
+    loss = (E.square(a) * y).sum()
     loss.backward()
     g1 = a.grad.copy()
-    loss.backward()
-    np.testing.assert_array_equal(g1, a.grad)
+    assert loss.grad is None and y.grad is None and y._parents == ()
+    with pytest.raises(RuntimeError, match="freed"):
+        loss.backward()
+    with pytest.raises(RuntimeError, match="freed"):
+        (y * 2.0).sum().backward()  # a new graph over a freed node
+    assert a.grad.tobytes() == g1.tobytes()
+
+
+def test_fresh_passes_give_byte_identical_leaf_gradients():
+    a = Tensor(RNG.normal(size=(4,)), requires_grad=True)
+    grads = []
+    for _ in range(2):
+        (E.square(a) * E.exp(a * 0.1)).sum().backward()
+        grads.append(a.grad.tobytes())
+    assert grads[0] == grads[1]
 
 
 def test_shared_subexpression_gradient():
@@ -253,6 +269,43 @@ def test_non_finite_input_rejected():
     a = Tensor(np.array([1e308]), requires_grad=True)
     with pytest.raises(NonFinite):
         (E.exp(a)).sum().backward()
+
+
+# finite entries whose sum overflows to -inf
+OVERFLOWING = np.full(8, -3.37e307)
+
+
+def test_finite_values_whose_sum_overflows_are_accepted():
+    # the finiteness check sums first; a sum that overflows is confirmed
+    # entry by entry before anything raises
+    p = Tensor(OVERFLOWING.copy(), requires_grad=True)
+    opt = SGD({"p": p}, lr=0.5, momentum=0.9)
+    p.grad = -OVERFLOWING  # a gradient whose sum overflows, too
+    opt.step()
+    np.testing.assert_array_equal(p.data, OVERFLOWING - 0.5 * -OVERFLOWING)
+    assert np.isfinite(p.data).all()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_values_raise_at_every_boundary(bad):
+    # alone among small entries, and among entries whose sum overflows
+    for good in (np.ones(3), OVERFLOWING):
+        arr = np.append(good, bad)
+        with pytest.raises(NonFinite, match="in tensor"):
+            Tensor(arr)
+        loss = (Tensor(good, requires_grad=True) * 0.0).sum()
+        loss.data = np.array(bad)
+        with pytest.raises(NonFinite, match="in loss"):
+            loss.backward()
+        p = Tensor(good.copy(), requires_grad=True)
+        opt = SGD({"p": p}, lr=0.1, momentum=0.0)
+        p.grad = np.append(np.zeros(len(good) - 1), bad)
+        with pytest.raises(NonFinite, match="gradient of p"):
+            opt.step()
+        p.grad = np.zeros(len(good))
+        p.data[-1] = bad
+        with pytest.raises(NonFinite, match="parameter p"):
+            opt.step()
 
 
 def test_graph_records_only_parents_that_need_a_gradient():

@@ -160,9 +160,11 @@ def _channel_major(a):
 @pytest.mark.parametrize("train", [True, False])
 def test_theta1_activations_and_gradients_are_channel_major(monkeypatch,
                                                             train):
-    # every theta1 output, and the gradient that reaches it, stays in
-    # channel-major memory; a copy back to batch-major layout fails here
-    seen = []
+    # every theta1 output, and every adjoint buffer accumulated into it,
+    # stays in channel-major memory; a copy back to batch-major layout
+    # fails here.  Backward frees non-leaf gradients, so each buffer is
+    # recorded as it is accumulated
+    seen, grads = [], {}
     for name in ("conv2d", "batch_norm", "max_pool2d", "relu"):
         def record(*args, _fn=getattr(engine, name), _name=name, **kwargs):
             out = _fn(*args, **kwargs)
@@ -170,6 +172,12 @@ def test_theta1_activations_and_gradients_are_channel_major(monkeypatch,
                 seen.append((_name, out))
             return out
         monkeypatch.setattr(engine, name, record)
+    accumulate = engine.Tensor._accumulate
+
+    def record_grad(t, g):
+        accumulate(t, g)
+        grads.setdefault(id(t), []).append(t.grad)
+    monkeypatch.setattr(engine.Tensor, "_accumulate", record_grad)
     model = Model(GATE_ARCH, seed=0)
     rng = np.random.default_rng(0)
     if train:
@@ -186,7 +194,10 @@ def test_theta1_activations_and_gradients_are_channel_major(monkeypatch,
     for i, (name, t) in enumerate(seen):
         assert _channel_major(t.data), (i, name)
         if train:
-            assert _channel_major(t.grad), (i, name)
+            assert grads[id(t)], (i, name)
+            assert all(_channel_major(g) for g in grads[id(t)]), (i, name)
+    if not train:
+        assert not grads
 
 
 # ----------------------------------------------------------------------
