@@ -3,12 +3,13 @@
 A dataset directory holds manifest.json plus cfr.bin (complex64 stored
 as interleaved little-endian float32 re/im, layout
 [sample][antenna][subcarrier]), coords.bin (float32 [sample][3], meters)
-and labels.bin (uint8 [sample]).  Checkpoints are manifest.json plus
-params.bin: raw little-endian float64, concatenated in stable
-parameter-name sort order; loading refuses a non-finite value and a
-negative batch-norm running variance.  Every file is written to a
-temporary name in its directory and then renamed over the target, so a
-crash never leaves a half-written file.
+and labels.bin (uint8 [sample]); a loaded dataset keeps its CFRs
+complex64.  Checkpoints are manifest.json plus params.bin: raw
+little-endian float64, concatenated in stable parameter-name sort order;
+loading refuses a non-finite value and a negative batch-norm running
+variance.  Every file is written to a temporary name in its directory and
+then renamed over the target, so a crash never leaves a half-written
+file.
 """
 
 from __future__ import annotations
@@ -24,8 +25,9 @@ from .scenario import Dataset, Scenario, _is_int
 
 
 def write_file(path, data):
-    """Write `data` (str or bytes) to `path` atomically: into a temporary
-    file in the same directory, then `os.replace` onto `path`."""
+    """Write `data` (str, or bytes or a C-contiguous array, whose buffer
+    is written as is) to `path` atomically: into a temporary file in the
+    same directory, then `os.replace` onto `path`."""
     path = os.fspath(path)
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
@@ -45,8 +47,8 @@ def write_json(path, obj):
 
 def save_dataset(ds, out_dir):
     os.makedirs(out_dir, exist_ok=True)
-    cfr32 = np.ascontiguousarray(ds.cfr.astype("<c8"))
-    write_file(os.path.join(out_dir, "cfr.bin"), cfr32.view("<f4").tobytes())
+    write_file(os.path.join(out_dir, "cfr.bin"),
+               np.ascontiguousarray(ds.cfr, "<c8"))
     write_file(os.path.join(out_dir, "coords.bin"),
                ds.coords.astype("<f4").tobytes())
     write_file(os.path.join(out_dir, "labels.bin"),
@@ -132,7 +134,7 @@ def load_dataset(in_dir):
             raise InputError(f"{path}: {key} holds ids outside "
                              f"[0, {bound}): {min(ids)} to {max(ids)}")
     cfr = _read_array(in_dir, "cfr.bin", "<f4", 2 * n * m * k)
-    cfr = cfr.view("<c8").reshape(n, m, k).astype(np.complex128)
+    cfr = cfr.view("<c8").reshape(n, m, k)
     coords = _read_array(in_dir, "coords.bin", "<f4", 3 * n)
     labels = _read_array(in_dir, "labels.bin", np.uint8, n)
     return Dataset(

@@ -24,6 +24,10 @@ NORM_SCHEMES = (AW, SW, MW, NA)
 
 _NORM_EPS = 1e-12
 
+# CFR rows the pipeline widens to complex128 and fingerprints in one go;
+# a whole batch in one go would hold every row's complex intermediates
+_BLOCK_ROWS = 64
+
 
 def unitary_dft(n):
     """Unitary DFT matrix, entry (i, k) = exp(-2j pi i k / n) / sqrt(n)."""
@@ -106,5 +110,16 @@ def normalize(x, scheme):
 
 
 def fingerprint_pipeline(cfr_batch, kind, scheme, array=None):
-    """extract + normalize for a whole CFR batch; the trainer's input path."""
-    return normalize(extract(cfr_batch, kind, array), scheme)
+    """extract + normalize of a CFR batch [n, M, K]; the trainer's input
+    path.  Rows are widened to complex128 and fingerprinted `_BLOCK_ROWS`
+    at a time into one output, so a complex64 batch is never widened
+    whole; every row's bytes are those of the one-shot computation."""
+    h = np.asarray(cfr_batch)
+    out = None
+    for i in range(0, max(len(h), 1), _BLOCK_ROWS):  # one pass if empty
+        block = h[i:i + _BLOCK_ROWS].astype(np.complex128, copy=False)
+        x = normalize(extract(block, kind, array), scheme)
+        if out is None:
+            out = np.empty((len(h), *x.shape[1:]), x.dtype)
+        out[i:i + len(x)] = x
+    return out

@@ -474,7 +474,9 @@ def make_scene(scenario, seed, scene_id, n_scenes):
 
 @dataclass
 class Dataset:
-    cfr: np.ndarray        # complex128 [n, M, K]
+    # [n, M, K]: complex128 when generated, complex64 when loaded from
+    # cfr.bin; the fingerprint pipeline widens one row block at a time
+    cfr: np.ndarray
     coords: np.ndarray     # float64 [n, 3]
     labels: np.ndarray     # uint8 [n]
     scene_ids: np.ndarray  # int64 [n]

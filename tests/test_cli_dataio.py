@@ -4,12 +4,13 @@ import json
 import os
 import struct
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from semloc import cli, dataio, training
+from semloc import cli, dataio, features, training
 from semloc.models import ArchConfig, Model
 from semloc.scenario import (ArrayGeometry, Dataset, Scenario, desk_scenario,
                              generate_dataset)
@@ -28,12 +29,35 @@ def test_dataset_round_trip(dataset, tmp_path):
     out = tmp_path / "ds"
     dataio.save_dataset(dataset, out)
     back = dataio.load_dataset(out)
-    np.testing.assert_allclose(back.cfr, dataset.cfr, rtol=1e-6)
+    assert back.cfr.dtype == np.complex64
+    assert np.array_equal(back.cfr, dataset.cfr.astype(np.complex64))
     np.testing.assert_allclose(back.coords, dataset.coords, rtol=1e-6)
     np.testing.assert_array_equal(back.labels, dataset.labels)
     np.testing.assert_array_equal(back.scene_ids, dataset.scene_ids)
     np.testing.assert_array_equal(back.grid_ids, dataset.grid_ids)
     assert back.manifest["n_scenes"] == dataset.manifest["n_scenes"]
+
+
+@pytest.mark.parametrize("kind", features.FINGERPRINT_KINDS)
+def test_prepare_domain_peak_memory_is_bounded_by_the_row_block(
+        dataset, kind, tmp_path):
+    # a loaded dataset stays complex64 and the pipeline widens one row
+    # block at a time: beyond its output and the masked complex64 rows,
+    # prepare_domain holds a few blocks of complex128 intermediates
+    dataio.save_dataset(dataset, tmp_path)
+    ds = dataio.load_dataset(tmp_path)
+    scenes = range(ds.manifest["n_scenes"])
+    cfg = training.TrainConfig(fingerprint=kind)
+    tracemalloc.start()
+    try:
+        domain = training.prepare_domain(ds, scenes, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    n, m, k = ds.cfr.shape
+    assert len(domain.inputs) == n > 4 * features._BLOCK_ROWS
+    block = features._BLOCK_ROWS * m * k * np.dtype(np.complex128).itemsize
+    assert peak <= domain.inputs.nbytes + ds.cfr.nbytes + 6 * block, peak
 
 
 @settings(derandomize=True, deadline=None, max_examples=25)

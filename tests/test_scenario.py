@@ -239,13 +239,18 @@ def _dense_specular_oracle(bs, ue, boxes_lo, boxes_hi):
 
 # half-meter lattice points make axis-parallel segments, endpoints on box
 # faces and boxes sharing faces common; decimetre points make specular
-# points land on face edges up to rounding; free floats cover the rest,
-# with magnitudes below 1e-6 flushed to zero so no segment extent is
-# subnormal (which would overflow the slab division)
-_COORD = st.one_of(st.integers(-4, 4).map(lambda v: v / 2.0),
-                   st.integers(-20, 20).map(lambda v: v / 10.0),
-                   st.floats(-2.0, 2.0).map(lambda v: v if abs(v) > 1e-6
-                                            else 0.0))
+# points land on face edges up to rounding; multiples of 2**-20 cover the
+# generic, off-face rest, and no segment extent between them is subnormal
+# (which would overflow the slab division).  Every draw is an integer in
+# (-100, 100): Hypothesis sometimes swaps a draw for a number written in
+# an imported test or source module, so a float draw, or an integer range
+# holding such numbers, would make the examples depend on which test
+# modules ran first
+_COORD = st.one_of(
+    st.integers(-4, 4).map(lambda v: v / 2.0),
+    st.integers(-20, 20).map(lambda v: v / 10.0),
+    st.tuples(st.integers(-8, 7), *[st.integers(0, 63)] * 3).map(
+        lambda t: (((t[0] * 64 + t[1]) * 64 + t[2]) * 64 + t[3]) / 2.0 ** 20))
 _POINT = st.tuples(_COORD, _COORD, _COORD)
 _SIZE = st.one_of(st.integers(0, 4).map(lambda v: v / 2.0),
                   st.integers(0, 20).map(lambda v: v / 10.0))
