@@ -7,7 +7,9 @@ with F the unitary DFT matrix and V the phase-shifted DFT matrix.  The
 1/sqrt(MK) prefactor sits outside matrices that are already unitary, so
 ||G||_F = ||H||_F / sqrt(MK); normalization downstream absorbs the
 scale.  Antenna flattening is iy-major, iz-minor, matching the steering
-vector convention in scenario.py.
+vector convention in scenario.py.  G is T @ (H @ conj(F_K)), each matmul
+one gemm per sample: on any BLAS kernel, a row's bytes never depend on its
+batch.
 """
 
 from __future__ import annotations
@@ -57,9 +59,7 @@ def adp(h, array):
     m, k = h.shape[-2:]
     if m != array.size:
         raise ShapeMismatch(f"CFR has {m} antennas, array has {array.size}")
-    # order="C": the contraction path leaves the batch axis strided
-    g = np.einsum("am,...mk,kb->...ab", _angle_transform(array), h,
-                  unitary_dft(k).conj(), optimize=True, order="C")
+    g = _angle_transform(array) @ (h @ unitary_dft(k).conj())
     g /= np.sqrt(m * k)
     return np.abs(g) ** 2
 

@@ -304,10 +304,10 @@ def train(dataset, split, cfg, domains=None):
 # shipped shape, 4 MiB was the fastest or within noise of it
 EVAL_BATCH_BYTES = 4 << 20
 # eval batches hold whole tiles of this many rows, the last one plus the
-# domain's remainder.  dgemm rounds the rows of a partial row tile, and of
-# a product of under 4 rows, differently from rows of a full tile (tiles
-# are 4 rows in OpenBLAS's SkylakeX kernels; 8 also covers 8-row tiles), so
-# cut this way every row meets the kernels as in one whole-domain forward
+# domain's remainder.  dgemm rounds a partial row tile's rows, and those of
+# a product of under 4 rows, unlike a full tile's (OpenBLAS's SkylakeX
+# kernels tile 4 rows; 8 covers 8-row tiles), so every row meets the kernels
+# as in one whole-domain forward: its test passes under Haswell kernels too
 EVAL_ROW_TILE = 8
 
 

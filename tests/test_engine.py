@@ -826,7 +826,11 @@ def test_eval_peak_memory_is_bounded_by_the_batch_budget():
 # ----------------------------------------------------------------------
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=25)
-SEEDS = st.integers(0, 2 ** 32 - 1)
+# a seed of four integer draws in [0, 99]: Hypothesis sometimes swaps an
+# integer draw for a literal from any loaded local module, except literals
+# in (-100, 100), so a wider draw would make the examples depend on which
+# test modules ran first
+SEEDS = st.lists(st.integers(0, 99), min_size=4, max_size=4)
 
 
 @st.composite

@@ -5,9 +5,15 @@ is checked against energy-conservation identities, bin concentration
 for on-grid paths, and circular shift covariance in delay.
 """
 
+import os
+import re
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import semloc
 from semloc import features as F
 from semloc.scenario import ArrayGeometry, MpcSet, Scenario, synth_cfr
 
@@ -246,16 +252,56 @@ def test_pipeline_shapes():
 def test_streamed_pipeline_matches_one_shot_oracle(kind, dtype):
     # row blocks are widened and fingerprinted one at a time; every row
     # count around the block size gives the bytes and shape of one pass
-    # over the whole widened batch
+    # over the whole widened batch, since each row's extract has the bytes
+    # of that row alone
     rng = np.random.default_rng(17)
     arr = ArrayGeometry(2, 2)
     b = F._BLOCK_ROWS
     for n in (0, 1, b - 1, b, b + 1, 2 * b + 3):
         h = (rng.normal(size=(n, 4, 8))
              + 1j * rng.normal(size=(n, 4, 8))).astype(dtype)
+        whole = F.extract(h.astype(np.complex128), kind, arr)
+        for i, row in enumerate(h.astype(np.complex128)):
+            assert F.extract(row, kind, arr).tobytes() == \
+                whole[i].tobytes(), (n, i)
         for scheme in F.NORM_SCHEMES:
             got = F.fingerprint_pipeline(h, kind, scheme, arr)
-            want = F.normalize(F.extract(h.astype(np.complex128), kind, arr),
-                               scheme)
+            want = F.normalize(whole, scheme)
             assert got.shape == want.shape and got.dtype == want.dtype
             assert got.tobytes() == want.tobytes(), (n, scheme)
+
+
+def _has_avx2():
+    try:
+        with open("/proc/cpuinfo") as f:
+            return re.search(r"\bavx2\b", f.read()) is not None
+    except OSError:
+        return False
+
+
+@pytest.mark.skipif(not _has_avx2(), reason="Haswell kernels need AVX2")
+def test_batch_independence_holds_under_the_haswell_kernel():
+    # a row's bytes must not depend on the batch it is computed in, on any
+    # BLAS kernel: the tests that check it run again in a fresh process
+    # with OpenBLAS's Haswell kernels forced, the ones a CPU without
+    # AVX-512 gets (the kernel is chosen when numpy loads)
+    tests = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.dirname(os.path.dirname(semloc.__file__))
+    env = dict(os.environ, OPENBLAS_CORETYPE="Haswell",
+               OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")])))
+    core = subprocess.run(
+        [sys.executable, "-c",
+         "from conftest import openblas_core; print(openblas_core())"],
+        cwd=tests, env=env, capture_output=True, text=True, check=True)
+    assert core.stdout.strip() == "Haswell", core.stdout + core.stderr
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "tests/test_features.py::"
+         "test_streamed_pipeline_matches_one_shot_oracle",
+         "tests/test_trainer.py::"
+         "test_prepare_domains_match_whole_dataset_oracle",
+         "tests/test_engine.py::test_eval_bytes_do_not_depend_on_batching"],
+        cwd=os.path.dirname(tests), env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stdout[-3000:] + run.stderr[-3000:]

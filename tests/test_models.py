@@ -266,10 +266,15 @@ def lattice_extractors(draw):
         c_in = c
     _set_blocks(model, blocks)
     # each input value scaled to underflow in the conv, or to overflow in
-    # batch norm; 2 ** 1012 keeps the input's sum finite, as a leaf needs
-    shape = (draw(st.integers(1, 3)), 1, h, w)
-    x = draw(arrays(np.float64, shape, elements=HALVES))
-    return model, x * draw(arrays(np.float64, shape, elements=SCALES))
+    # batch norm; 2 ** 1012 keeps the input's sum finite, as a leaf needs.
+    # Drawn a sample at a time, so no array here holds over 81 entries:
+    # Hypothesis may swap an integer draw outside (-100, 100), such as an
+    # entry index, for a literal of any loaded local module, so the
+    # examples would depend on which test modules ran first
+    n = draw(st.integers(1, 3))
+    x, scale = (np.stack([draw(arrays(np.float64, (1, h, w), elements=e))
+                          for _ in range(n)]) for e in (HALVES, SCALES))
+    return model, x * scale
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)

@@ -602,38 +602,49 @@ def _noisy_40_point_desk():
 
 
 # sha256 of each generate_dataset output, recorded before the tracer was
-# batched per scene: a change that moves any byte of a dataset fails here
+# batched per scene: a change that moves any byte of a dataset fails here.
+# The CFRs pass through zgemm, so their digest is recorded per OpenBLAS core
 GOLDEN = [
     (desk_scenario, 8, 1, {
-        "cfr": "82b60214f0ffd1d49a4223df15a7bdf55e9bd321cc9ed3c756a1fa949361204a",
+        "cfr": {
+            "SkylakeX": "82b60214f0ffd1d49a4223df15a7bdf55e9bd321cc9ed3c756a1fa949361204a",
+            "Haswell": "0b03d6273dc025f5462c6da3f9ba2c452e41b710bb3590342d1985db15522205"},
         "coords": "a8e395c0802d100b8419cb7a877443914cb929d171216bbb32afe340993c342a",
         "labels": "e663b53e49c87a43cdd1a9a4f178148b2e3b4f0230f57eeaea79a6f8acf9b23a",
         "scene_ids": "04e73447290c89f09c538b4cc8f72a4aed72bc7ba5c84665b1299f97c6918f2f",
         "grid_ids": "2101af2ba8f2e95e4f74b2ef862dd5bc52199705a33dec1d21e13f38298c5d84",
         "dropped": "d54fc9340c6d8008d4a7b2d3fb39dd2c26bbbba48d6802bc5326f06e842fda29"}),
     (desk_scenario, 40, 0, {
-        "cfr": "886c4835c652e3c1f0c6a6c997c6ec618dfcd1399853e7b0177f76d94b510ab3",
+        "cfr": {
+            "SkylakeX": "886c4835c652e3c1f0c6a6c997c6ec618dfcd1399853e7b0177f76d94b510ab3",
+            "Haswell": "af2a420b893101df11c8f387326349ccea08111d945768941e46363d2ec38668"},
         "coords": "d6681ffb12c0f9a590726412c9d0199636768301fe4b4ae0c3c780a68444950b",
         "labels": "fa75293454ba6f27ddae2040a4b4dd46740b0055016a9cdfb086e1aa34d4ae64",
         "scene_ids": "80517869b4588c8e6dbba8605d5fad9c8fa9820fb8688dfe1cb382d95364efdc",
         "grid_ids": "05efcf0af06d99614f957fcfd5268e26a43cfc22c0d55189775d9079c1704bc9",
         "dropped": "0b71108fb87a18aa5307ce1fe2af31a3047b7f49377b0fdf64aaf21e5f38b703"}),
     (lambda: desk_scenario(min_paths=2, max_paths=6), 6, 3, {
-        "cfr": "edf06c0362e98433fa7196ea44909b90777d99f07ca62e496af73f440558ed62",
+        "cfr": {
+            "SkylakeX": "edf06c0362e98433fa7196ea44909b90777d99f07ca62e496af73f440558ed62",
+            "Haswell": "cbba310f47ef316bc973e090f920b626448c069c14557c15c8764a34b0d6849a"},
         "coords": "30791ef394b4342f7bf0d86038a1bf85f0597818717b18518d94d1f7da475f22",
         "labels": "e0533f8087c7f847a43c17e112cb05a005a7aef5e86c4ed7eb25bb6fdd67ab01",
         "scene_ids": "1b70a577295da6a77da2d1f52612bd292d607b4b79f8bbb5e02b9a76d296fc0e",
         "grid_ids": "c60f303047c7adb960d5a5619c92e91eac498aefdcea5b4c444c9da33e165418",
         "dropped": "1a0c96b932b3a91f4d96274c442ba97932402a2f05d5a25f015fc83645f8c2d0"}),
     (_noisy_40_point_desk, 5, 2, {
-        "cfr": "23b5b5b777d10183fb490ae4181b2ed27cf13eb5332b4ce43a2d6f1df33bd52c",
+        "cfr": {
+            "SkylakeX": "23b5b5b777d10183fb490ae4181b2ed27cf13eb5332b4ce43a2d6f1df33bd52c",
+            "Haswell": "39e42c309ea4b1c182e4174102b99f9a18b5bb3f5cf83b3aadf77186c555b771"},
         "coords": "acb4909bacdc85a089814aa0753b5a171db125cf8372f5579a3ffbcde7089b5b",
         "labels": "58d9739028592061fb95bb5fdf1fdb79105787397c28f73d2d0dedfa5c5b7162",
         "scene_ids": "b48b0e1e224dccf839efc7b9f37af5537863c716bc8a0b231c3fe00238123e0c",
         "grid_ids": "9b51e0c1b0c1640fe8853a3069469ffdcdddcb7b28c2a9761f9eb921cbaf17c7",
         "dropped": "842202f9a7dd8b950e18fd9dec36ba8ef9e6b91339f2ae48e0346d5e69b5b571"}),
     (S.full_scale_scenario, 3, 0, {
-        "cfr": "0e6270f09b8cce98cbaeb3297ec6b1cddcdcb02fd318a46ef0cf832b0367f98c",
+        "cfr": {
+            "SkylakeX": "0e6270f09b8cce98cbaeb3297ec6b1cddcdcb02fd318a46ef0cf832b0367f98c",
+            "Haswell": "d5904745d6738a41e84aa7f043e209d3a20ba112943c52abcbdf74aec5761767"},
         "coords": "ad6db7cbfce053d242fe89ba32ba64e17e06aa5af4da5c9fbadb3c3251bd8402",
         "labels": "0b01822061f7572f73b92fba8ad38b758a4e3fad532fa03258937b82674f3909",
         "scene_ids": "db1b83c7f8c70f2f31e1a303355b0556bb121997b4bb823e4e7bf02afc322791",
@@ -645,7 +656,9 @@ GOLDEN = [
 @pytest.mark.parametrize("make, n_scenes, seed, want", GOLDEN,
                          ids=["desk-8-s1", "desk-40-s0", "desk-paths2to6-6-s3",
                               "desk-40pt-snr15-5-s2", "full-scale-3-s0"])
-def test_generate_dataset_golden_digests(make, n_scenes, seed, want):
+def test_generate_dataset_golden_digests(make, n_scenes, seed, want,
+                                        per_core):
+    want = {**want, "cfr": per_core(want["cfr"])}
     ds = generate_dataset(make(), n_scenes, seed)
     got = {k: hashlib.sha256(getattr(ds, k).tobytes()).hexdigest()
            for k in ("cfr", "coords", "labels", "scene_ids", "grid_ids")}

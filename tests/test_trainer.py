@@ -400,24 +400,51 @@ def _sha(b):
 # sha256 of the training log and of the best state's bytes (keys in sorted
 # order) of a 2-epoch run at the acceptance gate's architecture, recorded
 # before the max-pool backward routed by its forward's choices: a change
-# that moves any byte of training fails here
+# that moves any byte of training fails here.  Training runs through dgemm,
+# so each OpenBLAS core has its own digests
 GOLDEN_TRAIN = {
-    "mda": ("b5c43c31bd317ecbf5946c327e25f0e44e64afc5b1480ddc9db708e0318482ad",
-            "9d31ecb09508c2df40608e5d9644c8ae0b2f9876e25dfc050a3579eb9bad585d"),
-    "hda": ("31469c53ac72bf821ea37e6bb1d309e30ab143ec6e06970852ff5d81d87cb6ef",
-            "b96da882c26cdcdda8557348cc3bf982a89e34c536070ee5833c4d542265a93d"),
+    "SkylakeX": {
+        "mda": ("b5c43c31bd317ecbf5946c327e25f0e44e64afc5b1480ddc9db708e0318482ad",
+                "9d31ecb09508c2df40608e5d9644c8ae0b2f9876e25dfc050a3579eb9bad585d"),
+        "hda": ("31469c53ac72bf821ea37e6bb1d309e30ab143ec6e06970852ff5d81d87cb6ef",
+                "b96da882c26cdcdda8557348cc3bf982a89e34c536070ee5833c4d542265a93d"),
+    },
+    "Haswell": {
+        "mda": ("b5c43c31bd317ecbf5946c327e25f0e44e64afc5b1480ddc9db708e0318482ad",
+                "f6b8ac124117decdef3caa6934a9fec6019cf692456afbcf52edd0dc2ea890fa"),
+        "hda": ("7c2d678434dea8af39016c5aadb03f4e6ff3b4188b4a1632ec7a2979e49c3d1a",
+                "9e7b8a72531aea1c5f1f86ec9884e4e8ba886366e43cb8fa9f123d17999a2210"),
+    },
 }
 
 
-@pytest.mark.parametrize("method", sorted(GOLDEN_TRAIN))
-def test_train_golden_digests(golden_dataset, method):
+@pytest.mark.parametrize("method", ["hda", "mda"])
+def test_train_golden_digests(golden_dataset, method, per_core):
     cfg = TrainConfig(method=method, epochs=2, batch_size=32, **GATE_ARCH)
     res = training.train(golden_dataset, SplitPlan.default(8), cfg)
     state = b"".join(res.best_state[k].tobytes() for k in sorted(res.best_state))
-    assert (_sha(res.log_csv.encode()), _sha(state)) == GOLDEN_TRAIN[method]
+    assert (_sha(res.log_csv.encode()), _sha(state)) == \
+        per_core(GOLDEN_TRAIN)[method]
 
 
-def test_run_ablation_golden_rows(golden_dataset):
+def _ablation_rows(cr_rmse, mda_rmse):
+    return [
+        {"name": "cr-only", "rmse_mean": cr_rmse, "rmse_std": 0.0,
+         "acc_mean": 0.37945492662473795, "acc_std": 0.0,
+         "loc_gain_pct": "", "acc_gain_pct": ""},
+        {"name": "mda", "rmse_mean": mda_rmse, "rmse_std": 0.0,
+         "acc_mean": 0.3060796645702306, "acc_std": 0.0,
+         "loc_gain_pct": "-227.493", "acc_gain_pct": ""}]
+
+
+# the rows of a 1-epoch, 1-seed run_ablation, per OpenBLAS core
+GOLDEN_ABLATION = {
+    "SkylakeX": _ablation_rows(6.708917214802664, 21.971243278162895),
+    "Haswell": _ablation_rows(6.7089172148029075, 21.97124327816905),
+}
+
+
+def test_run_ablation_golden_rows(golden_dataset, per_core):
     grid = (("cr-only", dict(method="dcnn", lambda3_max=0.0)),
             ("mda", dict(method="mda", fingerprint=F.SCM,
                          normalization=F.MW)))
@@ -425,13 +452,7 @@ def test_run_ablation_golden_rows(golden_dataset):
         golden_dataset, SplitPlan.default(8),
         TrainConfig(epochs=1, batch_size=32, **GATE_ARCH), grid=grid,
         seeds=(0,))
-    assert rows == [
-        {"name": "cr-only", "rmse_mean": 6.708917214802664, "rmse_std": 0.0,
-         "acc_mean": 0.37945492662473795, "acc_std": 0.0,
-         "loc_gain_pct": "", "acc_gain_pct": ""},
-        {"name": "mda", "rmse_mean": 21.971243278162895, "rmse_std": 0.0,
-         "acc_mean": 0.3060796645702306, "acc_std": 0.0,
-         "loc_gain_pct": "-227.493", "acc_gain_pct": ""}]
+    assert rows == per_core(GOLDEN_ABLATION)
 
 
 # ----------------------------------------------------------------------
