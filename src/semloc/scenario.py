@@ -4,10 +4,13 @@ A scenario is a static street layout (BS, UE grid, buildings, traffic
 lanes); a scene is one snapshot of vehicle positions.  Links get a
 direct path plus one single-bounce specular reflection (image method)
 per building or vehicle face that both ends see from outside, each kept
-only if unobstructed; the strongest `max_paths` survive.  A scene is
-traced in one array pass: every face of every box for every grid point
-at once, and one segment/box hit test covers all direct paths and both
-legs of every reflection.  The propagation-condition label distinguishes
+only if unobstructed; the strongest `max_paths` survive.  The buildings'
+part of a trace is static: their faces' specular points for every grid
+point, and which direct paths and reflection legs they block, are found
+once per dataset in array passes over all grid points.  Each scene then
+adds only its vehicles: their faces' specular points, their hits on the
+static segments near them, and every box's hits on the legs of their
+reflections.  The propagation-condition label distinguishes
 a clear direct path (LOS), a direct path blocked only by vehicles (DNLOS)
 and one blocked by any building (SNLOS).
 """
@@ -16,6 +19,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import MISSING, asdict, dataclass, field, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,6 +29,9 @@ LOS, DNLOS, SNLOS = 0, 1, 2
 LABEL_NAMES = {LOS: "LOS", DNLOS: "DNLOS", SNLOS: "SNLOS"}
 
 _SEG_EPS = 1e-9  # open-interval margin: endpoint touches do not count as hits
+# widening (meters) of the vehicles' union box in the tracer's cull; the cull
+# is exact without it (see segments_hit_boxes), so it only adds slack
+_CULL_MARGIN = 1e-6
 
 
 class EmptyLink(Exception):
@@ -294,20 +301,30 @@ def segments_hit_boxes(p0, p1, boxes_lo, boxes_hi):
     """Boolean [S, B]: does the open segment interior enter each box?
 
     p0, p1: [S, 3] endpoints.  Endpoint touches and face grazes are not
-    counted as hits (open parameter interval with a small margin).
+    counted as hits (open parameter interval with a small margin).  Each
+    (segment, box) entry is computed on its own, so a subset of rows or
+    boxes gives the same entries.  A segment whose bounding box misses a
+    box on some axis is never a hit, even after rounding: rounding is
+    monotone, so that axis's slab parameters both come out >= 1 or both
+    < 0.
     """
     p0 = np.atleast_2d(np.asarray(p0, float))
     p1 = np.atleast_2d(np.asarray(p1, float))
     d = p1 - p0
     enter = np.full((len(p0), len(boxes_lo)), _SEG_EPS)
     leave = np.full_like(enter, 1.0 - _SEG_EPS)
-    for a in range(3):  # one slab at a time keeps the temporaries [S, B]
+    # one slab at a time, in three [S, B] buffers reused across axes: the
+    # lo-plane parameter goes in `near`, which its min with the hi-plane
+    # parameter `t1` then overwrites
+    near, far, t1 = (np.empty_like(enter) for _ in range(3))
+    for a in range(3):
         o, da = p0[:, a, None], d[:, a, None]
         lo, hi = boxes_lo[:, a], boxes_hi[:, a]
         with np.errstate(divide="ignore", invalid="ignore"):
-            t0 = (lo - o) / da
-            t1 = (hi - o) / da
-        near, far = np.minimum(t0, t1), np.maximum(t0, t1)
+            np.divide(np.subtract(lo, o, out=near), da, out=near)
+            np.divide(np.subtract(hi, o, out=t1), da, out=t1)
+        np.maximum(near, t1, out=far)
+        np.minimum(near, t1, out=near)
         # a segment with no extent on this axis (rare): inside the slab
         # iff its origin lies within [lo, hi]
         zero = np.flatnonzero(da[:, 0] == 0.0)
@@ -343,15 +360,19 @@ def _specular_points(bs, ue, boxes_lo, boxes_hi):
     Returns the points [R, 3], one per valid box face and UE, and the UE
     index [R] of each.  A face is valid when BS and UE both lie strictly
     on its outer side and the specular point falls inside the face.  Rows
-    come in (UE, box, axis, lo face then hi face) order.
+    come in (UE, box, axis, lo face then hi face) order.  Each row is
+    computed from its own face alone, so the tracer calls this once for
+    the buildings and once per scene for the vehicles, and a stable sort
+    by UE interleaves the two into the order of one call on both.
     """
     plane = np.stack([boxes_lo, boxes_hi], axis=-1)     # [B, axis, face]
     sign = np.array([-1.0, 1.0])
-    facing = ((sign * (bs[:, None] - plane) > 1e-9)
-              & (sign * (ue[:, None, :, None] - plane) > 1e-9))
-    # only candidates facing both ends, in C order of [L, B, axis, face]
-    link, box, axis, face = np.nonzero(facing)
+    # the faces facing the BS, in C order of [B, axis, face]; then only
+    # candidates facing both ends, in C order of [L, B, axis, face]
+    box, axis, face = np.nonzero(sign * (bs[:, None] - plane) > 1e-9)
     plane = plane[box, axis, face]
+    link, k = np.nonzero(sign[face] * (ue[:, axis] - plane) > 1e-9)
+    box, axis, plane = box[k], axis[k], plane[k]
     # the BS mirrored in each face plane
     mirrored = 2.0 * plane - bs[axis]
     on_axis = axis[:, None] == np.arange(3)              # [R, coord]
@@ -368,17 +389,58 @@ def _specular_points(bs, ue, boxes_lo, boxes_hi):
     return q[valid], link[valid]
 
 
-def trace_paths(scenario, scene, ue, n_keep=None):
+class _StaticTrace(NamedTuple):
+    """The vehicle-free part of a grid trace, shared by every scene.
+
+    Segments are the direct paths [L], then the BS -> q legs [R], then the
+    q -> UE legs [R] of the buildings' R specular points `q`.
+    """
+
+    lo: np.ndarray          # buildings' corners [B, 3]
+    hi: np.ndarray
+    q: np.ndarray           # buildings' specular points [R, 3]
+    q_link: np.ndarray      # UE index of each [R]
+    p0: np.ndarray          # segment ends [L + 2R, 3]
+    p1: np.ndarray
+    seg_lo: np.ndarray      # segment bounding boxes [L + 2R, 3]
+    seg_hi: np.ndarray
+    blocked: np.ndarray     # does a building block each segment? [L + 2R]
+
+
+def _static_trace(scenario, grid):
+    """What `trace_paths` needs of the buildings for the UE grid [L, 3]:
+    their specular points and which direct paths and bounce legs they
+    block (one `segments_hit_boxes` call, reduced to "any hit")."""
+    bs = np.asarray(scenario.bs_position, float)
+    lo, hi = _boxes_to_arrays(scenario.buildings)
+    q, q_link = _specular_points(bs, grid, lo, hi)
+    p0 = np.concatenate([np.broadcast_to(bs, grid.shape),
+                         np.broadcast_to(bs, q.shape), q])
+    p1 = np.concatenate([grid, q, grid[q_link]])
+    return _StaticTrace(lo, hi, q, q_link, p0, p1, np.minimum(p0, p1),
+                        np.maximum(p0, p1),
+                        segments_hit_boxes(p0, p1, lo, hi).any(axis=1))
+
+
+def trace_paths(scenario, scene, ue, n_keep=None, static=None):
     """Direct path + single-bounce reflections from the BS to `ue`.
 
     `ue` is one point [3] or a grid [L, 3]; `n_keep` (default
     scenario.max_paths) is an int or one int per grid point, and truncates
     each link to its strongest n paths, kept in emission order: the direct
-    path, then reflections by face.  A grid returns (paths, counts,
-    labels): one MpcSet of every kept path, link-major, the int [L] paths
-    kept per link (0 where no path survives) and the [L] labels.  One
-    point returns its (MpcSet, label) and raises EmptyLink when nothing
-    survives.
+    path, then reflections by box (buildings, then vehicles), axis and
+    face.  A grid returns (paths, counts, labels): one MpcSet of every
+    kept path, link-major, the int [L] paths kept per link (0 where no
+    path survives) and the [L] labels.  One point returns its (MpcSet,
+    label) and raises EmptyLink when nothing survives.
+
+    The buildings' part of the trace does not depend on the scene:
+    `static` is `_static_trace(scenario, ue)` (for one point, of
+    `ue[None]`), computed here when not given, so that `generate_dataset`
+    computes it once for all its scenes.  The scene adds its vehicles:
+    their specular points, their hits on the static segments no building
+    blocks, and every box's hits on their bounce legs.  The result does
+    not depend on whether `static` was passed.
     """
     bs = np.asarray(scenario.bs_position, float)
     ue = np.asarray(ue, float)
@@ -394,29 +456,48 @@ def trace_paths(scenario, scene, ue, n_keep=None):
     if not (np.issubdtype(n_keep.dtype, np.integer) and (n_keep >= 1).all()):
         raise ValueError(f"n_keep must hold integers >= 1, not {n_keep}")
     lam = scenario.wavelength
-    n_bld = len(scenario.buildings)
-    lo, hi = _boxes_to_arrays(list(scenario.buildings) + list(scene.vehicles))
+    if static is None:
+        static = _static_trace(scenario, grid)
+    r = len(static.q)
 
-    # one hit test for the scene: every direct path, then the BS -> q and
-    # q -> UE legs of every reflection
-    q, q_link = _specular_points(bs, grid, lo, hi)
-    r = len(q)
+    # the vehicles' hits on the static segments no building blocks (a
+    # building's block already sets their label or drops their bounce),
+    # tested only where a segment's bounding box meets the vehicles' union
+    # box, widened by _CULL_MARGIN: a segment whose bounding box misses the
+    # union box misses each vehicle's box on some axis, so it cannot hit it
+    # (see `segments_hit_boxes`) and the cull drops no hit
+    veh_lo, veh_hi = _boxes_to_arrays(scene.vehicles)
+    blocked_by_veh = np.zeros_like(static.blocked)
+    if len(scene.vehicles):
+        near = np.flatnonzero(
+            ((static.seg_lo <= veh_hi.max(axis=0) + _CULL_MARGIN)
+             & (static.seg_hi >= veh_lo.min(axis=0) - _CULL_MARGIN))
+            .all(axis=1) & ~static.blocked)
+        blocked_by_veh[near] = segments_hit_boxes(
+            static.p0[near], static.p1[near], veh_lo, veh_hi).any(axis=1)
+    # the vehicles' own bounces, both legs against every box
+    q_veh, link_veh = _specular_points(bs, grid, veh_lo, veh_hi)
+    rv = len(q_veh)
     hits = segments_hit_boxes(
-        np.concatenate([np.broadcast_to(bs, grid.shape),
-                        np.broadcast_to(bs, q.shape), q]),
-        np.concatenate([grid, q, grid[q_link]]), lo, hi)
-    direct = hits[:n_links]
-    labels = np.where(direct[:, :n_bld].any(axis=1), SNLOS,
-                      np.where(direct[:, n_bld:].any(axis=1), DNLOS, LOS))
-    clear = ~(hits[n_links:n_links + r].any(axis=1)
-              | hits[n_links + r:].any(axis=1))
+        np.concatenate([np.broadcast_to(bs, q_veh.shape), q_veh]),
+        np.concatenate([q_veh, grid[link_veh]]),
+        np.concatenate([static.lo, veh_lo]),
+        np.concatenate([static.hi, veh_hi])).any(axis=1)
+    clear_veh = ~(hits[:rv] | hits[rv:])
+    labels = np.where(static.blocked[:n_links], SNLOS,
+                      np.where(blocked_by_veh[:n_links], DNLOS, LOS))
+    blocked = static.blocked | blocked_by_veh
+    clear = ~(blocked[n_links:n_links + r] | blocked[n_links + r:])
 
-    # the direct path is a "reflection" at the UE itself, emitted first
+    # the direct path is a "reflection" at the UE itself, emitted first;
+    # within a link, the stable sort keeps the building bounces before the
+    # vehicle bounces, each in (box, axis, face) order
     los = np.flatnonzero(labels == LOS)
-    link = np.concatenate([los, q_link[clear]])
+    link = np.concatenate([los, static.q_link[clear], link_veh[clear_veh]])
     emit = np.argsort(link, kind="stable")
     link = link[emit]
-    points = np.concatenate([grid[los], q[clear]])[emit]
+    points = np.concatenate([grid[los], static.q[clear],
+                             q_veh[clear_veh]])[emit]
     bounced = emit >= len(los)
 
     dirs = points - bs
@@ -487,16 +568,19 @@ class Dataset:
 def generate_dataset(scenario, n_scenes, seed):
     """All links of all scenes, emitted in (scene_id, grid index) order.
 
-    Each scene is traced once; links with a zero path count are dropped
-    and recorded in the manifest, and the kept links' ids and labels are
-    read from the stacked [n_scenes, L] counts.  Output is a pure
-    function of (scenario, n_scenes, seed).
+    The buildings' part of the grid trace (`_static_trace`) is computed
+    once; then each scene is traced once with it, so a scene pays only
+    for its vehicles.  Links with a zero path count are dropped and
+    recorded in the manifest, and the kept links' ids and labels are read
+    from the stacked [n_scenes, L] counts.  Output is a pure function of
+    (scenario, n_scenes, seed).
     """
     if n_scenes < 1:
         raise ValueError("need at least one scene")
     # trace every scene first (one MpcSet each), then write each scene's
     # CFRs straight into the one preallocated array
     grid = scenario.ue_grid
+    static = _static_trace(scenario, grid)
     traced = []
     for t in range(n_scenes):
         scene = make_scene(scenario, seed, t, n_scenes)
@@ -505,7 +589,7 @@ def generate_dataset(scenario, n_scenes, seed):
             n_keep = [int(np.random.default_rng([int(seed), t, l]).integers(
                 scenario.min_paths, scenario.max_paths + 1))
                 for l in range(len(grid))]
-        traced.append(trace_paths(scenario, scene, grid, n_keep))
+        traced.append(trace_paths(scenario, scene, grid, n_keep, static))
     paths, counts, labels = zip(*traced)
     kept = np.stack(counts) > 0                          # [n_scenes, L]
     scene_ids, grid_ids = np.nonzero(kept)

@@ -5,6 +5,7 @@ synthesis against an explicit per-element loop, and dataset generation
 for determinism and semantic-label correctness.
 """
 
+import contextlib
 import hashlib
 import json
 import tracemalloc
@@ -589,6 +590,149 @@ def test_grid_tracer_shapes():
                        (grid, 0), (grid, [2, 1.5])):
         with pytest.raises(ValueError):
             trace_paths(sc, Scene(0, []), ue, n_keep)
+
+
+# ----------------------------------------------------------------------
+# the split trace (buildings once, vehicles per scene) against one pass
+# ----------------------------------------------------------------------
+
+def _trace_paths_one_pass(scenario, scene, grid, n_keep):
+    """The grid tracer before its buildings' part was split off: every box
+    in one `_specular_points` call and one `segments_hit_boxes` call."""
+    bs = np.asarray(scenario.bs_position, float)
+    n_links = len(grid)
+    n_keep = np.broadcast_to(scenario.max_paths if n_keep is None else n_keep,
+                             n_links)
+    lam = scenario.wavelength
+    n_bld = len(scenario.buildings)
+    lo, hi = S._boxes_to_arrays(list(scenario.buildings)
+                                + list(scene.vehicles))
+    q, q_link = S._specular_points(bs, grid, lo, hi)
+    r = len(q)
+    hits = segments_hit_boxes(
+        np.concatenate([np.broadcast_to(bs, grid.shape),
+                        np.broadcast_to(bs, q.shape), q]),
+        np.concatenate([grid, q, grid[q_link]]), lo, hi)
+    direct = hits[:n_links]
+    labels = np.where(direct[:, :n_bld].any(axis=1), SNLOS,
+                      np.where(direct[:, n_bld:].any(axis=1), DNLOS, LOS))
+    clear = ~(hits[n_links:n_links + r].any(axis=1)
+              | hits[n_links + r:].any(axis=1))
+    los = np.flatnonzero(labels == LOS)
+    link = np.concatenate([los, q_link[clear]])
+    emit = np.argsort(link, kind="stable")
+    link = link[emit]
+    points = np.concatenate([grid[los], q[clear]])[emit]
+    bounced = emit >= len(los)
+    dirs = points - bs
+    first_leg = S._norms(dirs)
+    lengths = first_leg + S._norms(grid[link] - points)
+    gains = lam / (4.0 * np.pi * lengths) * np.exp(-2j * np.pi * lengths / lam)
+    gains[bounced] *= scenario.reflection_coeff
+    unit = dirs / first_leg[:, None]
+    elevations = np.arccos(np.clip(unit[:, 2], -1.0, 1.0))
+    azimuths = np.arctan2(unit[:, 1], unit[:, 0])
+    delays = lengths / SPEED_OF_LIGHT
+    counts = np.bincount(link, minlength=n_links)
+    rank = np.arange(len(link)) - (np.cumsum(counts) - counts)[link]
+    strongest = np.lexsort((-np.abs(gains), link))
+    keep = np.sort(strongest[rank < n_keep[link]])
+    kept = np.bincount(link[keep], minlength=n_links)
+    return (MpcSet(gains[keep], azimuths[keep], elevations[keep],
+                   delays[keep]), kept, labels)
+
+
+def _assert_grid_traces_equal(got, want):
+    """(paths, counts, labels) triples are equal byte for byte."""
+    for name in ("gains", "azimuths", "elevations", "delays"):
+        a, b = getattr(got[0], name), getattr(want[0], name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    for a, b in zip(got[1:], want[1:]):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _corners(box):
+    lo, size = box
+    return np.array(lo), np.array(lo) + np.array(size)
+
+
+@st.composite
+def _street(draw):
+    """(buildings, vehicles, bs, ues, n_keep) of a small scene.
+
+    A vehicle corner coordinate may repeat a building's on its axis, so
+    vehicles overlap or abut buildings.  A UE may sit at a vehicle face,
+    a few 2**-20 lattice steps off it (on either side of the union box's
+    widened edge), or mid-vehicle on any axis, so UEs fall inside
+    vehicles and segments just enter them.  All draws are integers.
+    """
+    buildings = draw(st.lists(_BOX, max_size=3))
+    planes = [sorted({c[a] for b in buildings for c in _corners(b)})
+              for a in range(3)]
+    coord = [st.one_of(_COORD, st.sampled_from(p)) if p else _COORD
+             for p in planes]
+    vehicles = draw(st.lists(st.tuples(st.tuples(*coord),
+                                       st.tuples(_SIZE, _SIZE, _SIZE)),
+                             max_size=3))
+    ue = _POINT
+    if vehicles:
+        near = st.tuples(st.sampled_from(vehicles), st.tuples(*[st.tuples(
+            st.sampled_from(["lo", "mid", "hi"]), st.integers(-2, 2))] * 3))
+        ue = st.one_of(_POINT, near.map(_near_vehicle))
+    ues = draw(st.lists(ue, min_size=1, max_size=6))
+    n_keep = draw(st.one_of(st.none(), st.integers(1, 4),
+                            st.lists(st.integers(1, 4), min_size=len(ues),
+                                     max_size=len(ues))))
+    return buildings, vehicles, draw(_POINT), ues, n_keep
+
+
+def _near_vehicle(drawn):
+    """A point at, or k 2**-20 steps off, a vehicle's lo/hi face or midpoint
+    on each axis."""
+    box, where = drawn
+    lo, hi = _corners(box)
+    at = {"lo": lo, "mid": (lo + hi) / 2.0, "hi": hi}
+    return tuple(float(at[w][a] + k / 2.0 ** 20)
+                 for a, (w, k) in enumerate(where))
+
+
+# a unit vehicle; the examples put a UE 2**-20 below its top face (less
+# than the union-box margin) and one exactly the margin above it
+_CAR = ((0.0, 0.0, 0.0), (1.0, 1.0, 1.0))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(street=_street())
+# a UE inside the vehicle, 2**-20 below its top face: only the vehicle
+# blocks its direct path, and only a union box at least that wide sees it
+@example(street=([], [_CAR], (0.5, 0.5, 3.0),
+                 [(0.5, 0.5, 1.0 - 2.0 ** -20), (0.5, 0.5, 0.5)], None))
+@example(street=([], [_CAR], (0.5, 0.5, 3.0),
+                 [(0.5, 0.5, 1.0 + S._CULL_MARGIN), (3.0, 0.5, 0.5)], [1, 2]))
+# a vehicle abutting a building's face and one inside it; no vehicles
+@example(street=([((0.0, -1.0, 0.0), (2.0, 0.5, 2.0))],
+                 [((2.0, -1.0, 0.0), (1.0, 0.5, 1.0)),
+                  ((0.5, -1.0, 0.0), (0.5, 0.5, 0.5))],
+                 (1.0, 2.0, 3.0), [(3.0, -2.0, 0.5), (1.0, -3.0, 1.0)], 2))
+@example(street=([((0.0, -1.0, 0.0), (2.0, 0.5, 2.0))], [],
+                 (1.0, 2.0, 3.0), [(3.0, -2.0, 0.5)], None))
+def test_property_split_trace_matches_one_pass(street):
+    buildings, vehicles, bs, ues, n_keep = street
+    box = lambda b: Box(*map(tuple, _corners(b)))
+    sc = _tiny_scenario(bs_position=bs, buildings=[box(b) for b in buildings],
+                        max_paths=3)
+    scene = Scene(0, [box(v) for v in vehicles])
+    grid = np.array(ues, float)
+    # a UE at the BS has a zero-length direct path, to which both tracers
+    # give an infinite gain and NaN angles, with a division warning
+    at_bs = (grid == np.array(bs)).all(axis=1).any()
+    with (np.errstate(divide="ignore", invalid="ignore") if at_bs
+          else contextlib.nullcontext()):
+        got = trace_paths(sc, scene, grid, n_keep)
+        _assert_grid_traces_equal(got, _trace_paths_one_pass(sc, scene, grid,
+                                                             n_keep))
+        _assert_grid_traces_equal(trace_paths(sc, scene, grid, n_keep,
+                                              S._static_trace(sc, grid)), got)
 
 
 # ----------------------------------------------------------------------
