@@ -3,12 +3,14 @@ describe / report.
 
 All configs are JSON; flags override config fields and the effective
 merged config is echoed into each output directory.  Exit codes: 0 on
-success, 2 on usage errors (including a malformed --split-json, a bad
---config, --grid or --scenario, an --out that cannot be made where it
-points, such as a path under a file, or a split that leaves a domain
-empty), 3 when a non-finite value aborts a run, 4 when a dataset or
-checkpoint file is missing or disagrees with its manifest, a checkpoint
-holds a non-finite value or a negative running variance, or an output
+success; 1 when gradcheck's error is 1e-4 or more; 2 on usage errors,
+such as a malformed --split-json, a --config or --grid with an unknown
+key or bad value, a --scenario with a UE at the BS, an unusable --out or
+a split that leaves a domain empty; 3 when a non-finite value aborts a
+run; 4 when a dataset or checkpoint file is missing or disagrees with
+its manifest, a dataset holds a non-finite coordinate or a label of no
+class, a checkpoint holds a non-finite value, a negative running
+variance or the wrong fingerprint shape for the dataset, or an output
 directory is locked by a live process.
 """
 
@@ -168,6 +170,13 @@ def _load_and_score(run_dir, args, which):
         raise dataio.InputError(f"{path}: {type(exc).__name__}: {exc}") \
             from None
     ds = dataio.load_dataset(args.data)
+    # zero rows give the dataset's fingerprint shape before any is computed
+    shape = training.prepare_domain(ds, (), cfg).inputs.shape[1:]
+    want = model.arch.input_shape
+    if shape != want:
+        raise dataio.InputError(f"{path}: arch input_shape {list(want)} does "
+                                f"not fit the dataset's {cfg.fingerprint} "
+                                f"fingerprints of shape {list(shape)}")
     return manifest, training.evaluate(model, ds, _split_from(ds, args), cfg,
                                        which=which)
 
@@ -192,12 +201,10 @@ def gradcheck_error(method, seed=0):
     d_s = rng.integers(0, 3, size=4)
     x_t = rng.random((4, 1, 16, 16))
 
-    params = dict(model.params)
     u = losses.UncertaintyParams()
     u.s1.data[...] = 0.3
     u.s2.data[...] = -0.2
-    if method == "hda":
-        params.update(u.as_params())
+    params = {**model.params, **(u.as_params() if method == "hda" else {})}
 
     def objective():
         out_s = model.forward(x_s, train=True)
@@ -246,9 +253,8 @@ def cmd_ablate(args):
 
 def cmd_describe(args):
     cfg = _train_config("--config", _load_json(args.config, "--config"))
-    shape = args.input_shape or ArchConfig.input_shape
     try:
-        arch = training.arch_for(cfg, shape)
+        arch = training.arch_for(cfg, args.input_shape)
     except ValueError as exc:
         raise UsageError(f"--input-shape: {exc}") from None
     model = Model(arch, seed=0)
@@ -334,7 +340,7 @@ def build_parser():
 
     d = sub.add_parser("describe", help="print the layer table")
     d.add_argument("--config")
-    d.add_argument("--input-shape", type=int, nargs=3)
+    d.add_argument("--input-shape", type=int, nargs=3, default=[1, 64, 64])
     d.set_defaults(fn=cmd_describe)
 
     r = sub.add_parser("report", parents=[split],

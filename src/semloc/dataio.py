@@ -3,13 +3,13 @@
 A dataset directory holds manifest.json plus cfr.bin (complex64 stored
 as interleaved little-endian float32 re/im, layout
 [sample][antenna][subcarrier]), coords.bin (float32 [sample][3], meters)
-and labels.bin (uint8 [sample]); a loaded dataset keeps its CFRs
-complex64.  Checkpoints are manifest.json plus params.bin: raw
-little-endian float64, concatenated in stable parameter-name sort order;
-loading refuses a non-finite value and a negative batch-norm running
-variance.  Every file is written to a temporary name in its directory and
-then renamed over the target, so a crash never leaves a half-written
-file.
+and labels.bin (uint8 [sample]); loading refuses a non-finite coordinate
+and a label that names no class, and keeps the CFRs complex64.
+Checkpoints are manifest.json plus params.bin: raw little-endian
+float64, concatenated in stable parameter-name sort order; loading
+refuses a non-finite value and a negative batch-norm running variance.
+Every file is written to a temporary name in its directory and then
+renamed over the target, so a crash never leaves a half-written file.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import os
 
 import numpy as np
 
-from .scenario import Dataset, Scenario, _is_int
+from .scenario import LABEL_NAMES, Dataset, Scenario, _is_int
 
 
 def write_file(path, data):
@@ -136,7 +136,13 @@ def load_dataset(in_dir):
     cfr = _read_array(in_dir, "cfr.bin", "<f4", 2 * n * m * k)
     cfr = cfr.view("<c8").reshape(n, m, k)
     coords = _read_array(in_dir, "coords.bin", "<f4", 3 * n)
+    if not np.isfinite(coords).all():
+        raise InputError(f"{os.path.join(in_dir, 'coords.bin')}: holds a "
+                         f"non-finite coordinate")
     labels = _read_array(in_dir, "labels.bin", np.uint8, n)
+    if (labels >= len(LABEL_NAMES)).any():
+        raise InputError(f"{os.path.join(in_dir, 'labels.bin')}: holds "
+                         f"label {labels.max()}, which names no class")
     return Dataset(
         cfr=cfr, coords=coords.reshape(n, 3).astype(np.float64),
         labels=labels,

@@ -691,7 +691,7 @@ class SGD:
     overshoot badly.
     """
 
-    def __init__(self, params, lr=1e-3, momentum=0.99):
+    def __init__(self, params, lr, momentum):
         # params: dict name -> Tensor
         self.params = dict(params)
         self.lr = float(lr)

@@ -18,7 +18,7 @@ difference, so softmax is used throughout.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -30,11 +30,12 @@ from .scenario import LABEL_NAMES, _is_int
 @dataclass
 class ArchConfig:
     """Conv channels, the hidden MLP widths both heads share, and the input
-    (C, H, W); `Model` appends each head's fixed output width."""
+    (C, H, W), all given by the caller (a run's by `training.arch_for`);
+    `Model` appends each head's fixed output width."""
 
-    conv_channels: list = field(default_factory=lambda: [16, 32, 32, 64])
-    mlp_widths: list = field(default_factory=lambda: [256, 128])
-    input_shape: tuple = (1, 64, 64)  # (channels, H, W)
+    conv_channels: list
+    mlp_widths: list
+    input_shape: tuple  # (channels, H, W)
 
     def __post_init__(self):
         if not (len(self.input_shape) == 3

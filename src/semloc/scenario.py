@@ -160,6 +160,9 @@ class Scenario:
                 and all(map(_is_finite_number, self.bs_position))):
             raise ValueError(f"bs_position must be 3 finite numbers, not "
                              f"{list(self.bs_position)!r}")
+        if (self.ue_grid == np.asarray(self.bs_position, float)).all(1).any():
+            raise ValueError("a ue_grid point lies at bs_position, where its "
+                             "direct path would have length 0")
         for lane in self.lanes:
             if not (_is_finite_number(lane.density) and lane.density >= 0
                     and all(map(_is_finite_number, (lane.y_center, lane.x_min,

@@ -12,7 +12,7 @@ lambda3(kappa) = 2 / (1 + exp(-10 kappa)) - 1 over training progress.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -23,7 +23,11 @@ from .engine import SGD, NonFinite, _check_finite, no_grad
 from .models import ArchConfig, Model
 from .scenario import _is_finite_number, _is_int
 
-METHODS = ("dcnn", "pcp-only", "mda-unweighted", "mda", "hda")
+# each method's fixed task weights (lambda1 on the coordinate loss, lambda2
+# on the class loss); hda learns its own
+TASK_WEIGHTS = {"dcnn": (1.0, 0.0), "pcp-only": (0.0, 1.0),
+                "mda-unweighted": (0.5, 0.5), "mda": (0.7, 0.3), "hda": None}
+METHODS = tuple(TASK_WEIGHTS)
 
 
 @dataclass
@@ -60,8 +64,6 @@ class TrainConfig:
     method: str = "mda"
     batch_size: int = 64
     epochs: int = 40
-    lambda1: float | None = None   # None -> method default
-    lambda2: float | None = None
     lambda3_max: float = 1.0       # scale on the sigmoid ramp; 0 disables KT
     lambda4: float = 0.05
     gamma: float = 2.0
@@ -70,8 +72,8 @@ class TrainConfig:
     seed: int = 0
     fingerprint: str = feat.ADP
     normalization: str = feat.AW
-    conv_channels: list | None = None
-    mlp_widths: list | None = None
+    conv_channels: list = field(default_factory=lambda: [16, 32, 32, 64])
+    mlp_widths: list = field(default_factory=lambda: [256, 128])
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -91,30 +93,17 @@ class TrainConfig:
             raise ValueError(f"unknown fingerprint {self.fingerprint!r}")
         if self.normalization not in feat.NORM_SCHEMES:
             raise ValueError(f"unknown normalization {self.normalization!r}")
-        for name in ("conv_channels", "mlp_widths"):  # None -> the default
+        for name in ("conv_channels", "mlp_widths"):
             v = getattr(self, name)
-            if v is not None and not (
-                    isinstance(v, (list, tuple)) and v
+            if not (isinstance(v, (list, tuple)) and v
                     and all(_is_int(n) and n > 0 for n in v)):
                 raise ValueError(f"{name} must be a non-empty list of positive "
                                  f"integers, not {v!r}")
-        optional = ("lambda1", "lambda2")  # None -> the method's default
-        for name in optional + ("lambda3_max", "lambda4", "gamma"):
+        for name in ("lambda3_max", "lambda4", "gamma"):
             v = getattr(self, name)
-            if v is None and name in optional:
-                continue
             if not (_is_finite_number(v) and v >= 0):
                 raise ValueError(f"{name} must be finite and nonnegative, "
                                  f"not {v!r}")
-
-    def main_weights(self):
-        """(lambda1, lambda2), each the method's default unless set; hda's
-        defaults are None, as it learns its task weights."""
-        l1, l2 = {"dcnn": (1.0, 0.0), "pcp-only": (0.0, 1.0),
-                  "mda-unweighted": (0.5, 0.5), "mda": (0.7, 0.3),
-                  "hda": (None, None)}[self.method]
-        return (l1 if self.lambda1 is None else self.lambda1,
-                l2 if self.lambda2 is None else self.lambda2)
 
     def to_dict(self):
         return asdict(self)
@@ -183,12 +172,9 @@ def require_links(ds, split):
 
 
 def arch_for(cfg, input_shape):
-    """The network `cfg` trains on inputs of `input_shape`; widths it
-    leaves unset take ArchConfig's defaults."""
-    widths = {name: list(getattr(cfg, name))
-              for name in ("conv_channels", "mlp_widths")
-              if getattr(cfg, name) is not None}
-    return ArchConfig(input_shape=tuple(input_shape), **widths)
+    """The network `cfg` trains on inputs of `input_shape`."""
+    return ArchConfig(list(cfg.conv_channels), list(cfg.mlp_widths),
+                      tuple(input_shape))
 
 
 # ----------------------------------------------------------------------
@@ -216,11 +202,11 @@ def objective(cfg, out_s, y, d, out_t, params, u, lam3):
     """The objective `cfg` trains, and its LossReport, on one source batch
     (outputs out_s, coordinates y, labels d) and one target batch out_t;
     u holds the hda log-variances and is unused by the other methods."""
-    if cfg.method == "hda":
+    weights = TASK_WEIGHTS[cfg.method]
+    if weights is None:
         return losses.hda_total(out_s, y, d, out_t, params, u, lam3=lam3,
                                 lam4=cfg.lambda4, gamma=cfg.gamma)
-    lam1, lam2 = cfg.main_weights()
-    return losses.mda_total(out_s, y, d, out_t, params, lam1, lam2, lam3,
+    return losses.mda_total(out_s, y, d, out_t, params, *weights, lam3,
                             cfg.lambda4, cfg.gamma)
 
 
@@ -235,14 +221,10 @@ def train(dataset, split, cfg, domains=None):
     source, val, target = domains
 
     model = Model(arch_for(cfg, source.inputs.shape[1:]), seed=cfg.seed)
-    params = dict(model.params)
-
-    u = None
-    if cfg.method == "hda":
-        u = losses.UncertaintyParams()
-        params.update(u.as_params())
-
-    opt = SGD(params, lr=cfg.lr, momentum=cfg.momentum)
+    # hda also learns the log-variances that weight its two tasks
+    u = losses.UncertaintyParams() if cfg.method == "hda" else None
+    opt = SGD({**model.params, **(u.as_params() if u else {})},
+              lr=cfg.lr, momentum=cfg.momentum)
     rng = np.random.default_rng([cfg.seed, 101])
 
     n_src = len(source.inputs)

@@ -256,6 +256,7 @@ def _bad_geometry(desk):
         "y-center-string": {"lanes": [{**lane, "y_center": "x"}]},
         "drift-minus-5": {"traffic_drift": -5},
         "grid-nan": {"ue_grid": [[np.nan, 5.5, 1.5], *desk["ue_grid"][1:]]},
+        "ue-at-bs": {"ue_grid": [desk["bs_position"], *desk["ue_grid"][1:]]},
         "spacing-string": {"grid_spacing": "x"},
         "carrier-inf": {"carrier_freq": np.inf},
         "bandwidth-true": {"bandwidth": True},
@@ -281,7 +282,10 @@ def test_cli_dataset_with_malformed_geometry_exits_4(dataset, tmp_path,
     ds_dir, ckpt = save_untrained_run(dataset, tmp_path)
     path = tmp_path / "ds" / "manifest.json"
     manifest = json.loads(path.read_text())
-    for edit in ({"traffic_drift": -5}, {"carrier_freq": np.inf}):
+    scenario = manifest["scenario"]
+    for edit in ({"traffic_drift": -5}, {"carrier_freq": np.inf},
+                 {"ue_grid": [scenario["bs_position"],
+                              *scenario["ue_grid"][1:]]}):
         path.write_text(json.dumps({**manifest, "scenario": {
             **manifest["scenario"], **edit}}))
         assert cli.main(["eval", "--ckpt", ckpt, "--data", ds_dir]) == 4
@@ -473,6 +477,62 @@ def test_cli_bad_input_files_exit_4(dataset, tmp_path, capsys):
         assert_one_error_line(capsys)
 
 
+def test_cli_dataset_with_bad_labels_or_coords_exits_4(dataset, tmp_path,
+                                                       capsys):
+    # a label that names no class once crashed train and ablate with a
+    # traceback from the class loss's one-hot, and train left an empty --out
+    ds_dir, ckpt = save_untrained_run(dataset, tmp_path)
+    run = tmp_path / "run"
+    n = len(dataset.labels)
+    labels = dataset.labels.astype(np.uint8)
+    coords = dataset.coords.astype("<f4")
+    bad = []
+    for value in (3, 7, 255):
+        bad.append(("labels.bin", labels.copy()))
+        bad[-1][1][n // 2] = value
+    for value in (np.nan, np.inf, -np.inf):
+        bad.append(("coords.bin", coords.copy()))
+        bad[-1][1][n // 2, 1] = value
+    for name, data in bad:
+        path = tmp_path / "ds" / name
+        clean = path.read_bytes()
+        path.write_bytes(data.tobytes())
+        for argv in (["train", "--data", ds_dir, "--split-json", SPLIT_4,
+                      "--epochs", "1", "--out", str(run)],
+                     ["ablate", "--data", ds_dir, "--split-json", SPLIT_4,
+                      "--seeds", "0"],
+                     ["eval", "--ckpt", ckpt, "--data", ds_dir]):
+            assert cli.main(argv) == 4, (name, argv)
+            assert_one_error_line(capsys, f"semloc: {path}: holds ")
+            assert not run.exists()
+        path.write_bytes(clean)
+    assert cli.main(["eval", "--ckpt", ckpt, "--data", ds_dir]) == 0
+
+
+def test_cli_checkpoint_that_does_not_fit_the_dataset_exits_4(
+        dataset, tmp_path, capsys, monkeypatch):
+    # a checkpoint for the desk's 4x4 array, scored on a 2x2 array's
+    # dataset, once exited 1 with a ShapeMismatch traceback
+    _, ckpt = save_untrained_run(dataset, tmp_path)
+    desk = desk_scenario(grid_points=10).to_dict()
+    small = Scenario.from_dict({**desk, "array": {**desk["array"], "m_y": 2,
+                                                  "m_z": 2}})
+    ds_dir = str(tmp_path / "small")
+    dataio.save_dataset(generate_dataset(small, 4, 0), ds_dir)
+    fingerprinted, extract = [], features.extract
+    monkeypatch.setattr(features, "extract",
+                        lambda h, *a: fingerprinted.append(len(h))
+                        or extract(h, *a))
+    for argv in (["eval", "--ckpt", ckpt, "--data", ds_dir],
+                 ["report", "--run", ckpt, "--data", ds_dir]):
+        assert cli.main(argv) == 4, argv
+        assert capsys.readouterr().err == (
+            f"semloc: {os.path.join(ckpt, 'manifest.json')}: arch "
+            f"input_shape [1, 16, 32] does not fit the dataset's adp "
+            f"fingerprints of shape [1, 4, 32]\n")
+    assert set(fingerprinted) == {0}
+
+
 def test_cli_malformed_dataset_manifest_exits_4(dataset, tmp_path, capsys):
     # a cfr_shape that is not three non-negative ints, an n_scenes that is
     # not an int >= 1, or per-sample ids that are not a list of ints inside
@@ -603,7 +663,9 @@ def test_cli_bad_config_exits_2(dataset, tmp_path, capsys, monkeypatch):
                  '{"lr": 0}', '{"momentum": 1}', '{"batch_size": 8.5}',
                  '{"epochs": true}', '{"seed": -1}', '{"conv_channels": [-1]}',
                  '{"conv_channels": "ab"}', '{"conv_channels": []}',
-                 '{"mlp_widths": [0]}'):
+                 '{"mlp_widths": [0]}', '{"conv_channels": null}',
+                 # the method alone sets the task weights
+                 '{"lambda1": 0.7}', '{"lambda2": 0.3}'):
         bad.write_text(text)
         for argv in (["train", "--data", ds_dir, "--out", str(run)],
                      ["describe"], ["ablate", "--data", ds_dir]):
@@ -621,7 +683,9 @@ def test_cli_bad_config_exits_2(dataset, tmp_path, capsys, monkeypatch):
     for rows in ([{"name": "ok", "overrides": {"method": "dcnn"}},
                   {"name": "typo", "overrides": {"lamda4": 0.1}}],
                  [{"name": "ok", "overrides": {"method": "dcnn"}},
-                  {"name": "neg", "overrides": {"lambda2": -0.5}}],
+                  {"name": "neg", "overrides": {"lambda4": -0.5}}],
+                 [{"name": "ok", "overrides": {"method": "dcnn"}},
+                  {"name": "weights", "overrides": {"lambda2": 0.3}}],
                  [{"name": "ok", "overrides": {"method": "dcnn"}},
                   {"overrides": {}}]):
         grid.write_text(json.dumps(rows))
@@ -758,6 +822,14 @@ def test_cli_describe(capsys):
 
 def test_cli_gradcheck_exits_zero():
     assert cli.main(["gradcheck", "--method", "mda"]) == 0
+
+
+def test_cli_gradcheck_exits_1_at_an_error_of_1e_4(monkeypatch, capsys):
+    for err, code in ((9.99e-5, 0), (1e-4, 1), (0.5, 1)):
+        monkeypatch.setattr(cli, "gradcheck_error", lambda m, s: err)
+        assert cli.main(["gradcheck", "--method", "hda"]) == code, err
+        assert capsys.readouterr().out == \
+            f"hda max relative gradient error: {err:.3e}\n"
 
 
 def test_cli_locked_directory_fails(tmp_path, capsys):

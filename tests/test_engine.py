@@ -746,9 +746,10 @@ def test_conv2d_eval_peak_memory_stays_near_its_output():
 def _perturbed_model(input_shape):
     """A default-architecture model whose batch-norm parameters and running
     statistics are moved off their initial values."""
-    from semloc.models import ArchConfig, Model
+    from semloc.models import Model
+    from semloc.training import TrainConfig, arch_for
 
-    model = Model(ArchConfig(input_shape=input_shape), seed=3)
+    model = Model(arch_for(TrainConfig(), input_shape), seed=3)
     rng = np.random.default_rng(9)
     for name, stat in model.running.items():
         stat[:] = (rng.uniform(0.5, 2.0, stat.shape) if name.endswith(".var")

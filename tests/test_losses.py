@@ -308,6 +308,6 @@ def test_hda_uncertainty_gradients():
 
 
 def test_loss_weights_validation():
-    # loss weights are resolved and validated in one place, TrainConfig
+    # loss weights are validated in one place, TrainConfig
     with pytest.raises(ValueError):
-        TrainConfig(lambda1=-0.1)
+        TrainConfig(lambda4=-0.1)

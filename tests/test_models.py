@@ -63,7 +63,7 @@ def test_seeded_init_is_deterministic():
 
 def test_param_count_closed_form():
     assert Model(ARCH, seed=0).param_count() == param_count_oracle(ARCH)
-    default = ArchConfig()
+    default = training.arch_for(training.TrainConfig(), (1, 64, 64))
     assert Model(default, seed=0).param_count() == param_count_oracle(default)
 
 
@@ -124,12 +124,13 @@ def test_input_shape_validation():
     with pytest.raises(ShapeMismatch):
         model.forward(np.zeros((2, 1, 16, 16)))  # wrong W
     with pytest.raises(ShapeMismatch):
-        ArchConfig(conv_channels=[4, 4, 4, 4], input_shape=(1, 20, 32))
+        ArchConfig(conv_channels=[4, 4, 4, 4], mlp_widths=[8],
+                   input_shape=(1, 20, 32))
     # (C, H, W) are positive integers; -16 would pass the divisibility test
     for bad in ((0, 16, 16), (1, -16, 16), (1, 16.0, 16), (True, 16, 16),
                 (16, 16)):
         with pytest.raises(ValueError):
-            ArchConfig(conv_channels=[2, 2], input_shape=bad)
+            ArchConfig(conv_channels=[2, 2], mlp_widths=[8], input_shape=bad)
 
 
 def test_arch_round_trip_and_describe():
@@ -328,8 +329,9 @@ def _mixed_sign_model(arch, seed):
     return model
 
 
-@pytest.mark.parametrize("arch", [ArchConfig(input_shape=(1, 16, 32)),
-                                  GATE_ARCH], ids=["default", "gate"])
+@pytest.mark.parametrize("arch", [
+    training.arch_for(training.TrainConfig(), (1, 16, 32)), GATE_ARCH],
+    ids=["default", "gate"])
 def test_evaluate_arrays_with_mixed_sign_gamma_matches_batch_norm_first(
         monkeypatch, arch):
     model = _mixed_sign_model(arch, seed=4)

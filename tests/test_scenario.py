@@ -925,6 +925,9 @@ def test_scenario_validation():
                 dict(min_paths=0), dict(min_paths=9, max_paths=4),
                 dict(ue_grid=np.zeros((3, 2))), dict(ue_grid=np.zeros((0, 3))),
                 dict(ue_grid=np.zeros(3)), dict(bs_position=(0.0, 0.0)),
+                # a UE at the BS, which has a zero-length direct path
+                dict(ue_grid=[[10.0, 0.0, 1.5], [0.0, 0.0, 5.0]]),
+                dict(bs_position=(10, 0, 1.5)),
                 dict(bs_position=(0.0, np.inf, 5.0)),
                 dict(bs_position=(0.0, True, 5.0)),
                 dict(lanes=[Lane(0.0, -10.0, 10.0, density=-1.0)]),

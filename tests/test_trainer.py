@@ -145,11 +145,14 @@ def test_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(normalization="nope")
     # loss weights are finite and nonnegative
-    for bad in (dict(lambda1=-1.0), dict(lambda1=-0.1), dict(lambda2=-1.0),
-                dict(gamma=-1.0), dict(lambda3_max=-1.0),
-                dict(lambda4=float("nan")), dict(lambda2=float("inf")),
-                dict(lambda3_max=None)):
+    for bad in (dict(gamma=-1.0), dict(lambda3_max=-1.0),
+                dict(lambda4=-0.1), dict(lambda4=float("nan")),
+                dict(gamma=float("inf")), dict(lambda3_max=None)):
         with pytest.raises(ValueError):
+            TrainConfig(**bad)
+    # the method alone sets the task weights
+    for bad in (dict(lambda1=0.7), dict(lambda2=0.3)):
+        with pytest.raises(TypeError):
             TrainConfig(**bad)
     # optimizer settings and integer fields
     for bad in (dict(lr=float("nan")), dict(lr=0.0), dict(lr=-1e-3),
@@ -162,7 +165,8 @@ def test_config_validation():
     for bad in (dict(conv_channels=[-1]), dict(conv_channels="ab"),
                 dict(conv_channels=[]), dict(mlp_widths=[0]),
                 dict(mlp_widths=[16, True]), dict(conv_channels=[2.0]),
-                dict(mlp_widths=16)):
+                dict(mlp_widths=16), dict(conv_channels=None),
+                dict(mlp_widths=None)):
         with pytest.raises(ValueError):
             TrainConfig(**bad)
     TrainConfig(conv_channels=[np.int64(2), 4], mlp_widths=(16,))
@@ -171,12 +175,10 @@ def test_config_validation():
 
 
 def test_method_default_weights():
-    assert TrainConfig(method="dcnn").main_weights() == (1.0, 0.0)
-    assert TrainConfig(method="pcp-only").main_weights() == (0.0, 1.0)
-    assert TrainConfig(method="mda-unweighted").main_weights() == (0.5, 0.5)
-    assert TrainConfig(method="mda").main_weights() == (0.7, 0.3)
-    assert TrainConfig(method="mda", lambda1=0.9,
-                       lambda2=0.1).main_weights() == (0.9, 0.1)
+    assert training.TASK_WEIGHTS == {
+        "dcnn": (1.0, 0.0), "pcp-only": (0.0, 1.0),
+        "mda-unweighted": (0.5, 0.5), "mda": (0.7, 0.3), "hda": None}
+    assert training.METHODS == tuple(training.TASK_WEIGHTS)
 
 
 # ----------------------------------------------------------------------
@@ -187,7 +189,8 @@ def test_metrics_rmse_oracle():
     from semloc.engine import Tensor
 
     class M:  # minimal model stub: constant offset, always predicts class 0
-        arch = ArchConfig(conv_channels=[1], input_shape=(1, 2, 2))
+        arch = ArchConfig(conv_channels=[1], mlp_widths=[4],
+                          input_shape=(1, 2, 2))
 
         def forward(self, x, train):
             n = len(x)
@@ -280,20 +283,6 @@ def test_log_csv_header_and_rows(small_dataset):
     assert all(len(r.split(",")) == 11 for r in step_rows)
     # first step has kappa=0, so lambda3 must be exactly 0
     assert float(step_rows[0].split(",")[8]) == 0.0
-
-
-def test_mda_lambda2_zero_kt_zero_matches_dcnn(small_dataset):
-    """MDA degenerates to the plain regression baseline when the class and
-    alignment terms are switched off."""
-    split = SplitPlan.default(12)
-    a = training.train(small_dataset, split,
-                       small_cfg(method="dcnn", lambda3_max=0.0))
-    b = training.train(small_dataset, split,
-                       small_cfg(method="mda", lambda1=1.0, lambda2=0.0,
-                                 lambda3_max=0.0))
-    col = lambda log: [r.split(",")[1] for r in log.strip().split("\n")[1:]
-                       if not r.startswith("epoch")]
-    assert col(a.log_csv) == col(b.log_csv)
 
 
 def test_train_and_gradcheck_share_one_objective(small_dataset, monkeypatch):
