@@ -19,13 +19,13 @@ print(f"BS at {sc.bs_position}, {sc.array.m_y}x{sc.array.m_z} planar array, "
       f"{sc.n_subcarriers} subcarriers over {sc.bandwidth / 1e6:.0f} MHz\n")
 
 # a mid-traffic snapshot: scene 20 of 40 (density drifts upward with id)
-scene = make_scene(sc, seed=0, scene_id=20, n_scenes=40)
-print(f"scene 20: {len(scene.vehicles)} vehicles on the road\n")
+vehicles = make_scene(sc, seed=0, scene_id=20, n_scenes=40)
+print(f"scene 20: {len(vehicles)} vehicles on the road\n")
 
 # one tracer call for the whole grid: every kept path in one MpcSet,
 # link-major, with the paths kept per link; a zero count marks a fully
 # shadowed link, which the generator records as dropped
-paths, counts, labels = trace_paths(sc, scene, sc.ue_grid)
+paths, counts, labels = trace_paths(sc, vehicles, sc.ue_grid)
 ends = np.cumsum(counts)
 shown = set()
 for ue, a, b, label in zip(sc.ue_grid, ends - counts, ends, labels):

@@ -19,7 +19,7 @@ one_path = MpcSet(gains=np.array([1.0 + 0j]),
                   azimuths=np.array([np.pi / 6]),      # on an angle bin
                   elevations=np.array([np.pi / 2]),
                   delays=np.array([3.0 / (sc.n_subcarriers * df)]))  # bin 3
-h = synth_cfr(one_path, sc)
+h = synth_cfr(one_path, sc, [len(one_path)])[0]  # one link's [M, K]
 x = F.adp(h, sc.array)
 print(f"one on-grid path: ADP shape {x.shape}, "
       f"{100 * x.max() / x.sum():.2f}% of the energy in one bin, "

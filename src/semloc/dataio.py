@@ -41,8 +41,9 @@ def write_file(path, data):
 
 
 def write_json(path, obj):
-    write_file(path, json.dumps(obj, indent=1, sort_keys=True, default=str)
-               + "\n")
+    # a value JSON cannot hold (a numpy integer, say) raises here, before
+    # the file is written
+    write_file(path, json.dumps(obj, indent=1, sort_keys=True) + "\n")
 
 
 def save_dataset(ds, out_dir):

@@ -1,9 +1,11 @@
 """Minimal dense-tensor reverse-mode automatic differentiation engine.
 
-Everything runs on float64 numpy arrays.  The primitive set is exactly
-what the localization networks and losses need: matmul, conv2d,
-max_pool2d, batch_norm, relu, sigmoid, (log_)softmax, elementwise
-arithmetic, reductions, concat and a vector Kronecker product.  Each
+Everything runs on float64 numpy arrays.  The localization networks and
+losses call matmul, conv2d, max_pool2d, batch_norm, relu, (log_)softmax,
+elementwise arithmetic and reductions.  sigmoid, concat and the vector
+Kronecker product ``kron`` are called by nothing in the package: they
+stay only because the benchmark's tracer (``perfbench/tracer.py``) binds
+them by name, and go with the benchmark change that stops it.  Each
 primitive registers a closure that propagates adjoints to the parents
 that need a gradient; ``Tensor.backward`` walks the graph once in reverse
 topological order and frees it as it walks: each node drops its closure,

@@ -167,9 +167,10 @@ def global_align(outputs_src, outputs_tgt, gamma):
 
 
 def loss_kt(outputs_src, outputs_tgt, gamma):
-    """Alignment loss: local (features) + global (task outputs)."""
-    return (local_align(outputs_src.features, outputs_tgt.features)
-            + global_align(outputs_src, outputs_tgt, gamma))
+    """The two alignment terms, (local (features), global (task outputs));
+    the alignment loss is their sum."""
+    return (local_align(outputs_src.features, outputs_tgt.features),
+            global_align(outputs_src, outputs_tgt, gamma))
 
 
 # ----------------------------------------------------------------------
@@ -201,8 +202,7 @@ def _objective(supervised, l_cr, l_pcp, w1, w2, outputs_src, outputs_tgt,
     as they are.
     """
     if lam3 > 0.0 and outputs_tgt is not None:
-        l_loc = local_align(outputs_src.features, outputs_tgt.features)
-        l_glob = global_align(outputs_src, outputs_tgt, gamma)
+        l_loc, l_glob = loss_kt(outputs_src, outputs_tgt, gamma)
     else:
         l_loc = engine.constant(0.0)
         l_glob = engine.constant(0.0)

@@ -1,7 +1,10 @@
 """Street-canyon scene synthesis: geometry, first-order ray paths, CFR.
 
 A scenario is a static street layout (BS, UE grid, buildings, traffic
-lanes); a scene is one snapshot of vehicle positions.  Links get a
+lanes); a scene is one snapshot of vehicles, the list of boxes
+`make_scene` returns.  The tracer reads only a scenario, a UE grid and
+one scene's vehicles; a scenario has no `grid_spacing`, and files that
+carry one still load.  Links get a
 direct path plus one single-bounce specular reflection (image method)
 per building or vehicle face that both ends see from outside, each kept
 only if unobstructed; the strongest `max_paths` survive.  The buildings'
@@ -35,16 +38,17 @@ _CULL_MARGIN = 1e-6
 
 
 class EmptyLink(Exception):
-    """No propagation path survives between BS and UE (full blockage)."""
+    """A link with no surviving path (full blockage) reached `synth_cfr`."""
 
 
+# Python numbers only, as JSON holds them (np.float64 is a float)
 def _is_int(v):
-    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def _is_finite_number(v):
-    return (isinstance(v, (int, float, np.integer, np.floating))
-            and not isinstance(v, bool) and bool(np.isfinite(v)))
+    return (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and bool(np.isfinite(v)))
 
 
 def _fields_of(cls, d, what, optional=None):
@@ -120,7 +124,6 @@ class Scenario:
     bandwidth: float
     n_subcarriers: int
     ue_grid: np.ndarray              # [L, 3] meters
-    grid_spacing: float
     buildings: list = field(default_factory=list)   # list[Box]
     lanes: list = field(default_factory=list)       # list[Lane]
     max_paths: int = 25
@@ -137,9 +140,6 @@ class Scenario:
                              f"{list(self.ue_grid.shape)}")
         if not np.isfinite(self.ue_grid).all():
             raise ValueError("ue_grid must hold finite coordinates")
-        if not (_is_finite_number(self.grid_spacing) and self.grid_spacing > 0):
-            raise ValueError(f"grid_spacing must be finite and > 0, not "
-                             f"{self.grid_spacing!r}")
         for box in self.buildings:
             if not (all(len(c) == 3 and all(map(_is_finite_number, c))
                         for c in (box.lo, box.hi))
@@ -208,7 +208,10 @@ class Scenario:
     def from_dict(cls, d):
         """The scenario `to_dict` wrote.  An unknown key is an error; only
         the keys older files may lack (`_OPTIONAL_KEYS`) take the field's
-        default."""
+        default, and the `grid_spacing` older files carry, which nothing
+        read, is dropped."""
+        if isinstance(d, dict):
+            d = {k: v for k, v in d.items() if k != "grid_spacing"}
         kw = _fields_of(cls, d, "scenario", _OPTIONAL_KEYS)
         kw["bs_position"] = tuple(kw["bs_position"])
         kw["array"] = ArrayGeometry(**_fields_of(ArrayGeometry, kw["array"],
@@ -224,12 +227,6 @@ class Scenario:
     def from_json(cls, path):
         with open(path) as fh:
             return cls.from_dict(json.load(fh))
-
-
-@dataclass
-class Scene:
-    scene_id: int
-    vehicles: list  # list[Box]
 
 
 @dataclass
@@ -266,18 +263,19 @@ def steering_vector(azimuth, elevation, array):
     return np.exp(1j * phase).reshape((array.size,) + azimuth.shape)
 
 
-def synth_cfr(paths, scenario, counts=None, out=None):
-    """Channel matrix H [M, K]: column k = sum_p gain_p a_p exp(-2j pi f_k tau_p).
+def synth_cfr(paths, scenario, counts, out=None):
+    """Channel matrices H [n, M, K], one per link: column k of link i is
+    sum_p gain_p a_p exp(-2j pi f_k tau_p) over that link's paths.
 
-    `paths` is one link's MpcSet, giving [M, K]; with `counts` (int [n],
-    the paths of each link) it holds n links' paths link-major, as the
-    grid tracer returns them, giving [n, M, K].  Every steering vector and
-    phase is computed in one pass, then one [M, P] @ [P, K] matmul runs
-    per link, so each link's bytes equal its one-link call.  Each matmul
-    writes straight into its link's row of `out` ([n, M, K] complex, e.g.
-    a dataset's rows), which is allocated when not given.
+    `paths` holds n links' paths link-major, as the tracer returns them,
+    and `counts` (int [n]) the paths of each link; a count of 0 raises
+    EmptyLink.  Every steering vector and phase is computed in one pass,
+    then one [M, P] @ [P, K] matmul runs per link, so each link's bytes
+    equal those of a call on that link alone.  Each matmul writes straight
+    into its link's row of `out` ([n, M, K] complex, e.g. a dataset's
+    rows), which is allocated when not given.
     """
-    sizes = np.atleast_1d(len(paths) if counts is None else counts)
+    sizes = np.asarray(counts)
     if not sizes.all():
         raise EmptyLink("cannot synthesize CFR from an empty path set")
     if sizes.sum() != len(paths):
@@ -293,7 +291,7 @@ def synth_cfr(paths, scenario, counts=None, out=None):
     ends = np.cumsum(sizes)
     for h, a, b in zip(out, ends - sizes, ends):
         np.matmul(a_mat[:, a:b], phases[a:b], out=h)
-    return out[0] if counts is None else out
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -425,31 +423,29 @@ def _static_trace(scenario, grid):
                         segments_hit_boxes(p0, p1, lo, hi).any(axis=1))
 
 
-def trace_paths(scenario, scene, ue, n_keep=None, static=None):
-    """Direct path + single-bounce reflections from the BS to `ue`.
+def trace_paths(scenario, vehicles, grid, n_keep=None, static=None):
+    """Direct path + single-bounce reflections from the BS to each point of
+    the UE grid [L, 3], with the scene's `vehicles` (a list of Box).
 
-    `ue` is one point [3] or a grid [L, 3]; `n_keep` (default
-    scenario.max_paths) is an int or one int per grid point, and truncates
-    each link to its strongest n paths, kept in emission order: the direct
-    path, then reflections by box (buildings, then vehicles), axis and
-    face.  A grid returns (paths, counts, labels): one MpcSet of every
-    kept path, link-major, the int [L] paths kept per link (0 where no
-    path survives) and the [L] labels.  One point returns its (MpcSet,
-    label) and raises EmptyLink when nothing survives.
+    `n_keep` (default scenario.max_paths) is an int or one int per grid
+    point, and truncates each link to its strongest n paths, kept in
+    emission order: the direct path, then reflections by box (buildings,
+    then vehicles), axis and face.  Returns (paths, counts, labels): one
+    MpcSet of every kept path, link-major, the int [L] paths kept per link
+    (0 where no path survives) and the [L] labels.
 
     The buildings' part of the trace does not depend on the scene:
-    `static` is `_static_trace(scenario, ue)` (for one point, of
-    `ue[None]`), computed here when not given, so that `generate_dataset`
-    computes it once for all its scenes.  The scene adds its vehicles:
-    their specular points, their hits on the static segments no building
-    blocks, and every box's hits on their bounce legs.  The result does
-    not depend on whether `static` was passed.
+    `static` is `_static_trace(scenario, grid)`, computed here when not
+    given, so that `generate_dataset` computes it once for all its scenes.
+    The scene adds its vehicles: their specular points, their hits on the
+    static segments no building blocks, and every box's hits on their
+    bounce legs.  The result does not depend on whether `static` was
+    passed.
     """
     bs = np.asarray(scenario.bs_position, float)
-    ue = np.asarray(ue, float)
-    grid = ue[None] if ue.ndim == 1 else ue
+    grid = np.asarray(grid, float)
     if grid.ndim != 2 or grid.shape[1] != 3:
-        raise ValueError(f"ue must be [3] or [L, 3], not {list(ue.shape)}")
+        raise ValueError(f"grid must be [L, 3], not {list(grid.shape)}")
     n_links = len(grid)
     n_keep = scenario.max_paths if n_keep is None else n_keep
     if not (np.ndim(n_keep) == 0 or np.shape(n_keep) == (n_links,)):
@@ -469,9 +465,9 @@ def trace_paths(scenario, scene, ue, n_keep=None, static=None):
     # box, widened by _CULL_MARGIN: a segment whose bounding box misses the
     # union box misses each vehicle's box on some axis, so it cannot hit it
     # (see `segments_hit_boxes`) and the cull drops no hit
-    veh_lo, veh_hi = _boxes_to_arrays(scene.vehicles)
+    veh_lo, veh_hi = _boxes_to_arrays(vehicles)
     blocked_by_veh = np.zeros_like(static.blocked)
-    if len(scene.vehicles):
+    if len(vehicles):
         near = np.flatnonzero(
             ((static.seg_lo <= veh_hi.max(axis=0) + _CULL_MARGIN)
              & (static.seg_hi >= veh_lo.min(axis=0) - _CULL_MARGIN))
@@ -522,11 +518,7 @@ def trace_paths(scenario, scene, ue, n_keep=None, static=None):
     keep = np.sort(strongest[rank < n_keep[link]])
     kept = np.bincount(link[keep], minlength=n_links)
     paths = MpcSet(gains[keep], azimuths[keep], elevations[keep], delays[keep])
-    if ue.ndim == 2:
-        return paths, kept, labels
-    if not kept[0]:
-        raise EmptyLink(f"no surviving path to UE at {ue.tolist()}")
-    return paths, int(labels[0])
+    return paths, kept, labels
 
 
 # ----------------------------------------------------------------------
@@ -534,7 +526,8 @@ def trace_paths(scenario, scene, ue, n_keep=None, static=None):
 # ----------------------------------------------------------------------
 
 def make_scene(scenario, seed, scene_id, n_scenes):
-    """Vehicle placement for one scene, a pure function of (scenario, seed, id).
+    """The vehicles (a list of Box) of one scene, a pure function of
+    (scenario, seed, id).
 
     Traffic density ramps up along the scene axis by `traffic_drift`,
     so early and late scenes see systematically different blockage.
@@ -553,7 +546,7 @@ def make_scene(scenario, seed, scene_id, n_scenes):
             vehicles.append(Box(
                 (cx - length / 2, cy - width / 2, 0.0),
                 (cx + length / 2, cy + width / 2, height)))
-    return Scene(scene_id=scene_id, vehicles=vehicles)
+    return vehicles
 
 
 @dataclass
@@ -586,13 +579,13 @@ def generate_dataset(scenario, n_scenes, seed):
     static = _static_trace(scenario, grid)
     traced = []
     for t in range(n_scenes):
-        scene = make_scene(scenario, seed, t, n_scenes)
+        vehicles = make_scene(scenario, seed, t, n_scenes)
         n_keep = scenario.max_paths
         if scenario.min_paths is not None:
             n_keep = [int(np.random.default_rng([int(seed), t, l]).integers(
                 scenario.min_paths, scenario.max_paths + 1))
                 for l in range(len(grid))]
-        traced.append(trace_paths(scenario, scene, grid, n_keep, static))
+        traced.append(trace_paths(scenario, vehicles, grid, n_keep, static))
     paths, counts, labels = zip(*traced)
     kept = np.stack(counts) > 0                          # [n_scenes, L]
     scene_ids, grid_ids = np.nonzero(kept)
@@ -663,7 +656,6 @@ def desk_scenario(grid_points=200, min_paths=None, max_paths=12):
     """
     n_x = grid_points // 2
     grid = rectangular_grid(-19.8, 19.8, n_x, y_values=(5.5, 6.5), z=1.5)
-    spacing = (19.8 * 2) / (n_x - 1)
     buildings = [
         Box((-25.0, -20.0, 0.0), (25.0, -8.0, 18.0)),   # near-side row
         Box((-25.0, 8.0, 0.0), (25.0, 20.0, 18.0)),     # far-side row
@@ -679,7 +671,6 @@ def desk_scenario(grid_points=200, min_paths=None, max_paths=12):
         bandwidth=100e6,
         n_subcarriers=32,
         ue_grid=grid,
-        grid_spacing=spacing,
         buildings=buildings,
         lanes=lanes,
         max_paths=max_paths,
@@ -694,7 +685,7 @@ def full_scale_scenario():
     return Scenario(
         bs_position=_BS_POSITION, array=ArrayGeometry(8, 8),
         carrier_freq=3.5e9, bandwidth=100e6, n_subcarriers=64,
-        ue_grid=grid, grid_spacing=0.8,
+        ue_grid=grid,
         buildings=[Box((-45, -20, 0), (45, -8, 18)),
                    Box((-45, 8, 0), (45, 20, 18)),
                    Box((2.0, -1.0, 0.0), (8.0, 2.5, 6.0)),

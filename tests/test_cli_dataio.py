@@ -69,7 +69,7 @@ def test_property_dataset_round_trip(n, m_y, m_z, k, scale, seed):
     rng = np.random.default_rng(seed)
     sc = Scenario(bs_position=(0.0, 0.0, 5.0), array=ArrayGeometry(m_y, m_z),
                   carrier_freq=3.5e9, bandwidth=100e6, n_subcarriers=k,
-                  ue_grid=np.zeros((200, 3)), grid_spacing=1.0)
+                  ue_grid=np.zeros((200, 3)))
     m = sc.array.size
     scene_ids = rng.integers(0, 40, n)
     grid_ids = rng.integers(0, 200, n)
@@ -257,7 +257,6 @@ def _bad_geometry(desk):
         "drift-minus-5": {"traffic_drift": -5},
         "grid-nan": {"ue_grid": [[np.nan, 5.5, 1.5], *desk["ue_grid"][1:]]},
         "ue-at-bs": {"ue_grid": [desk["bs_position"], *desk["ue_grid"][1:]]},
-        "spacing-string": {"grid_spacing": "x"},
         "carrier-inf": {"carrier_freq": np.inf},
         "bandwidth-true": {"bandwidth": True},
     }
@@ -374,6 +373,32 @@ def test_cli_unusable_out_exits_2(dataset, tmp_path, capsys, monkeypatch):
         assert_one_error_line(capsys, "semloc: --out: ")
     assert f.read_text() == "x"
     assert not (tmp_path / "nope").exists()
+
+
+def test_cli_ablate_writes_the_ablation_csv(dataset, tmp_path, capsys):
+    ds_dir, _ = save_untrained_run(dataset, tmp_path)
+    base = {"epochs": 1, "batch_size": 8, "conv_channels": [2, 4],
+            "mlp_widths": [16]}
+    grid = [("cr-only", {"method": "dcnn", "lambda3_max": 0.0}),
+            ("pcp-only", {"method": "pcp-only"}), ("mda", {"method": "mda"})]
+    (tmp_path / "cfg.json").write_text(json.dumps(base))
+    (tmp_path / "grid.json").write_text(json.dumps(
+        [{"name": n, "overrides": o} for n, o in grid]))
+    out = tmp_path / "ablation.csv"
+    assert cli.main(["ablate", "--data", ds_dir, "--split-json", SPLIT_4,
+                     "--config", str(tmp_path / "cfg.json"),
+                     "--grid", str(tmp_path / "grid.json"),
+                     "--seeds", "0", "--out", str(out)]) == 0
+    stdout = capsys.readouterr().out
+    rows = training.run_ablation(
+        dataio.load_dataset(ds_dir),
+        training.SplitPlan(range(0, 2), range(2, 3), range(3, 4)),
+        training.TrainConfig(**base), grid=grid, seeds=(0,))
+    assert out.read_text() == stdout == training.ablation_csv(rows)
+    gains = {r["name"]: (r["loc_gain_pct"], r["acc_gain_pct"]) for r in rows}
+    # each single-task baseline leaves both gain columns empty
+    assert all(gains["mda"]) and gains["cr-only"] == gains["pcp-only"] == (
+        "", "")
 
 
 def test_cli_split_json_is_inline_and_validated(dataset, tmp_path, capsys):
@@ -802,6 +827,18 @@ def test_writes_leave_no_truncated_file(dataset, tmp_path, monkeypatch):
             write()
     assert list(new.iterdir()) == []
     assert {p.name: p.read_bytes() for p in kept.iterdir()} == before
+
+
+def test_json_refuses_values_it_cannot_hold(tmp_path):
+    # a numpy integer used to be written as a string: a checkpoint's
+    # "conv_channels": ["2", 4], which eval then failed on with a TypeError
+    path = tmp_path / "m.json"
+    with pytest.raises(TypeError):
+        dataio.write_json(path, {"conv_channels": [np.int64(2), 4]})
+    assert list(tmp_path.iterdir()) == []
+    # np.float64 is a float
+    dataio.write_json(path, {"lr": np.float64(0.5)})
+    assert json.loads(path.read_text()) == {"lr": 0.5}
 
 
 def test_cli_gen_is_deterministic(tmp_path):

@@ -22,7 +22,7 @@ def make_scenario(m_y=4, m_z=4, K=16):
     return Scenario(bs_position=(0.0, 0.0, 5.0),
                     array=ArrayGeometry(m_y, m_z),
                     carrier_freq=3.5e9, bandwidth=100e6, n_subcarriers=K,
-                    ue_grid=np.array([[10.0, 0.0, 1.5]]), grid_spacing=1.0)
+                    ue_grid=np.array([[10.0, 0.0, 1.5]]))
 
 
 def random_cfr(rng, m, k):
@@ -96,7 +96,7 @@ def test_adp_single_on_grid_path_concentrates():
                   azimuths=np.array([np.pi / 6]),
                   elevations=np.array([np.pi / 2]),
                   delays=np.array([tau]))
-    x = F.adp(synth_cfr(mpcs, sc), sc.array)
+    x = F.adp(synth_cfr(mpcs, sc, [len(mpcs)])[0], sc.array)
     assert x.max() / x.sum() >= 0.99
 
 

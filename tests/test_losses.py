@@ -127,9 +127,12 @@ def test_loss_kt_is_local_plus_global():
                      rng.random((4, 6)) + 0.1)
     b = outputs_from(rng.normal(size=(4, 3)), rng.normal(size=(4, 3)),
                      rng.random((4, 6)) + 0.1)
+    local, glob = losses.loss_kt(a, b, 2.0)
+    assert local.item() == losses.local_align(a.features, b.features).item()
+    assert glob.item() == losses.global_align(a, b, 2.0).item()
     want = (losses.local_align(a.features, b.features).item()
             + losses.global_align(a, b, 2.0).item())
-    assert abs(losses.loss_kt(a, b, 2.0).item() - want) < 1e-12
+    assert abs((local + glob).item() - want) < 1e-12
 
 
 # ----------------------------------------------------------------------

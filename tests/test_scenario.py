@@ -16,7 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from semloc import scenario as S
 from semloc.scenario import (DNLOS, LOS, SNLOS, SPEED_OF_LIGHT, ArrayGeometry,
-                             Box, EmptyLink, Lane, MpcSet, Scenario, Scene,
+                             Box, EmptyLink, Lane, MpcSet, Scenario,
                              desk_scenario, generate_dataset, make_scene,
                              segments_hit_boxes, steering_vector, synth_cfr,
                              trace_paths)
@@ -70,7 +70,7 @@ def _tiny_scenario(**kw):
     defaults = dict(
         bs_position=(0.0, 0.0, 5.0), array=ArrayGeometry(2, 2),
         carrier_freq=3.5e9, bandwidth=100e6, n_subcarriers=8,
-        ue_grid=np.array([[10.0, 0.0, 1.5]]), grid_spacing=1.0)
+        ue_grid=np.array([[10.0, 0.0, 1.5]]))
     defaults.update(kw)
     return Scenario(**defaults)
 
@@ -83,7 +83,7 @@ def test_synth_cfr_matches_elementwise_oracle():
                   azimuths=rng.uniform(-np.pi, np.pi, P),
                   elevations=rng.uniform(0, np.pi, P),
                   delays=rng.uniform(1e-8, 1e-7, P))
-    H = synth_cfr(mpcs, sc)
+    H = synth_cfr(mpcs, sc, [P])[0]
     freqs = sc.subcarrier_freqs()
     M = sc.array.size
     want = np.zeros((M, sc.n_subcarriers), complex)
@@ -108,7 +108,7 @@ def test_synth_cfr_empty_path_set_raises():
     sc = _tiny_scenario()
     empty = MpcSet(np.zeros(0, complex), np.zeros(0), np.zeros(0), np.zeros(0))
     with pytest.raises(EmptyLink):
-        synth_cfr(empty, sc)
+        synth_cfr(empty, sc, [0])
 
 
 def _split_links(paths, counts):
@@ -127,14 +127,15 @@ def test_synth_cfr_scene_form_equals_one_link_calls(make):
     counts = counts[counts > 0]
     assert len(counts) > 100 and len(set(counts.tolist())) > 1
     got = synth_cfr(paths, sc, counts)
-    want = np.stack([synth_cfr(m, sc) for m in _split_links(paths, counts)])
+    want = np.stack([synth_cfr(m, sc, [len(m)])[0]
+                     for m in _split_links(paths, counts)])
     assert got.shape == (len(counts), sc.array.size, sc.n_subcarriers)
     assert got.tobytes() == want.tobytes()
 
 
 def test_synth_cfr_scene_form_with_an_empty_link_raises():
     sc = _tiny_scenario()
-    link, (n,), _ = trace_paths(sc, Scene(0, []), sc.ue_grid)
+    link, (n,), _ = trace_paths(sc, [], sc.ue_grid)
     assert n == len(link) > 0
     twice = MpcSet(*(np.tile(getattr(link, name), 2) for name in
                      ("gains", "azimuths", "elevations", "delays")))
@@ -307,8 +308,7 @@ def test_property_geometry_kernels_match_their_earlier_forms(boxes, segments,
 
 def test_los_delay_matches_geometry():
     sc = _tiny_scenario()
-    scene = Scene(scene_id=0, vehicles=[])
-    mpcs, label = trace_paths(sc, scene, sc.ue_grid[0])
+    mpcs, _, (label,) = trace_paths(sc, [], sc.ue_grid)
     assert label == LOS
     d = np.linalg.norm(np.asarray(sc.bs_position) - sc.ue_grid[0])
     assert abs(mpcs.delays[0] - d / SPEED_OF_LIGHT) < 1e-9 * d / SPEED_OF_LIGHT
@@ -321,8 +321,7 @@ def test_reflection_image_method_hand_case():
     # single wall at y in [5, 6]; reflected path length equals the
     # distance from the mirror image of the BS to the UE
     sc = _tiny_scenario(buildings=[Box((-50.0, 5.0, 0.0), (50.0, 6.0, 20.0))])
-    scene = Scene(scene_id=0, vehicles=[])
-    mpcs, label = trace_paths(sc, scene, sc.ue_grid[0])
+    mpcs, _, (label,) = trace_paths(sc, [], sc.ue_grid)
     assert label == LOS and len(mpcs) == 2
     bs = np.asarray(sc.bs_position)
     img = bs.copy()
@@ -340,11 +339,10 @@ def test_reflection_image_method_hand_case():
 def test_direct_gain_decreases_with_distance():
     sc = _tiny_scenario(ue_grid=np.array([[x, 0.0, 1.5]
                                           for x in (5.0, 10.0, 20.0, 40.0)]))
-    scene = Scene(scene_id=0, vehicles=[])
-    mags = []
-    for ue in sc.ue_grid:
-        mpcs, _ = trace_paths(sc, scene, ue)
-        mags.append(abs(mpcs.gains[0]))
+    paths, counts, labels = trace_paths(sc, [], sc.ue_grid)
+    assert (labels == LOS).all()
+    # each link's direct path is emitted first
+    mags = np.abs(paths.gains[np.cumsum(counts) - counts])
     assert all(a > b for a, b in zip(mags, mags[1:]))
 
 
@@ -353,14 +351,14 @@ def test_labels_follow_blockage_semantics():
     # side wall provides a surviving reflected path around the blocker
     side = Box((-50.0, 5.0, 0.0), (50.0, 6.0, 20.0))
     sc_clear = _tiny_scenario(buildings=[side])
-    assert trace_paths(sc_clear, Scene(0, []), sc_clear.ue_grid[0])[1] == LOS
+    assert trace_paths(sc_clear, [], sc_clear.ue_grid)[2].tolist() == [LOS]
     # vehicle blocks direct -> DNLOS
-    assert trace_paths(sc_clear, Scene(0, [blocker]),
-                       sc_clear.ue_grid[0])[1] == DNLOS
+    assert trace_paths(sc_clear, [blocker],
+                       sc_clear.ue_grid)[2].tolist() == [DNLOS]
     # building blocks direct -> SNLOS even if a vehicle also blocks
     sc_wall = _tiny_scenario(buildings=[side, blocker])
-    assert trace_paths(sc_wall, Scene(0, [blocker]),
-                       sc_wall.ue_grid[0])[1] == SNLOS
+    assert trace_paths(sc_wall, [blocker],
+                       sc_wall.ue_grid)[2].tolist() == [SNLOS]
 
 
 def test_empty_link_raised_when_fully_enclosed():
@@ -368,8 +366,10 @@ def test_empty_link_raised_when_fully_enclosed():
              Box((11.0, -2.0, 0.0), (12.0, 2.0, 30.0)),
              Box((9.0, -2.0, 0.0), (11.0, 2.0, 30.0))]
     sc = _tiny_scenario(buildings=shell)
+    paths, counts, _ = trace_paths(sc, [], sc.ue_grid)
+    assert counts.tolist() == [0] and len(paths) == 0
     with pytest.raises(EmptyLink):
-        trace_paths(sc, Scene(0, []), sc.ue_grid[0])
+        synth_cfr(paths, sc, counts)
 
 
 def test_max_paths_keeps_strongest():
@@ -377,9 +377,8 @@ def test_max_paths_keeps_strongest():
         Box((-50.0, 5.0, 0.0), (50.0, 6.0, 20.0)),
         Box((-50.0, -6.0, 0.0), (50.0, -5.0, 20.0)),
         Box((-50.0, -50.0, -0.5), (50.0, 50.0, 0.0))])
-    scene = Scene(0, [])
-    all_paths, _ = trace_paths(sc, scene, sc.ue_grid[0], n_keep=10)
-    pruned, _ = trace_paths(sc, scene, sc.ue_grid[0], n_keep=2)
+    all_paths, _, _ = trace_paths(sc, [], sc.ue_grid, n_keep=10)
+    pruned, _, _ = trace_paths(sc, [], sc.ue_grid, n_keep=2)
     assert len(pruned) == 2
     kept = sorted(np.abs(all_paths.gains))[-2:]
     np.testing.assert_allclose(sorted(np.abs(pruned.gains)), kept, rtol=1e-12)
@@ -420,13 +419,14 @@ def _loop_departure_angles(direction):
     return np.arctan2(d[1], d[0]), np.arccos(np.clip(d[2], -1.0, 1.0))
 
 
-def _loop_trace_paths(scenario, scene, ue, n_keep=None):
-    """Reference tracer: separate hit tests and per-path norms and angles."""
+def _loop_trace_paths(scenario, vehicles, ue, n_keep=None):
+    """Reference tracer for one UE point: separate hit tests and per-path
+    norms and angles; raises EmptyLink when no path survives."""
     bs = np.asarray(scenario.bs_position, float)
     ue = np.asarray(ue, float)
     lam = scenario.wavelength
     bld_lo, bld_hi = S._boxes_to_arrays(scenario.buildings)
-    veh_lo, veh_hi = S._boxes_to_arrays(scene.vehicles)
+    veh_lo, veh_hi = S._boxes_to_arrays(vehicles)
     all_lo = np.concatenate([bld_lo, veh_lo])
     all_hi = np.concatenate([bld_hi, veh_hi])
     if segments_hit_boxes(bs, ue, bld_lo, bld_hi)[0].any():
@@ -459,17 +459,6 @@ def _loop_trace_paths(scenario, scene, ue, n_keep=None):
                   delays[order]), label
 
 
-def _assert_traces_equal(sc, scene, ue, n_keep):
-    try:
-        want = _loop_trace_paths(sc, scene, ue, n_keep)
-    except EmptyLink:
-        with pytest.raises(EmptyLink):
-            trace_paths(sc, scene, ue, n_keep)
-        return None
-    _assert_links_equal(trace_paths(sc, scene, ue, n_keep), want)
-    return want[1]
-
-
 def _assert_links_equal(got, want):
     """(MpcSet, label) pairs are equal bit for bit."""
     assert got[1] == want[1]
@@ -477,10 +466,34 @@ def _assert_links_equal(got, want):
         assert np.array_equal(getattr(got[0], name), getattr(want[0], name)), name
 
 
+def _assert_traces_equal(sc, vehicles, grid, n_keep):
+    """Each link of one grid trace equals the loop tracer on its point, and
+    has a count of 0 where the loop tracer raises EmptyLink.  Returns the
+    labels, None for an empty link."""
+    paths, counts, labels = trace_paths(sc, vehicles, grid, n_keep)
+    assert counts.shape == labels.shape == (len(grid),)
+    assert counts.sum() == len(paths)
+    per_link = np.broadcast_to(sc.max_paths if n_keep is None else n_keep,
+                               len(grid))
+    out = []
+    for ue, k, n, got in zip(grid, per_link, counts,
+                             zip(_split_links(paths, counts), labels)):
+        try:
+            want = _loop_trace_paths(sc, vehicles, ue, k)
+        except EmptyLink:
+            assert n == 0
+            out.append(None)
+            continue
+        assert n > 0
+        _assert_links_equal(got, want)
+        out.append(want[1])
+    return out
+
+
 def _toy_links():
-    """(scenario, scene, ue, n_keep) of 1000 toy links: the box generator
-    of acceptance test 4; every other scene drops its ceiling mirror, so
-    some links lose every path."""
+    """(scenario, vehicles, ue, n_keep) of 1000 toy links: the box
+    generator of acceptance test 4; every other scene drops its ceiling
+    mirror, so some links lose every path."""
     rng = np.random.default_rng(13)
     mirror = Box((-30.0, -30.0, 50.0), (30.0, 30.0, 51.0))
 
@@ -498,75 +511,50 @@ def _toy_links():
         vehicles = rand_boxes(rng.integers(0, 3))
         sc = Scenario(bs_position=(0.0, 0.0, 8.0), array=ArrayGeometry(2, 2),
                       carrier_freq=3.5e9, bandwidth=100e6, n_subcarriers=8,
-                      ue_grid=np.array([[10.0, 5.0, 1.5]]), grid_spacing=1.0,
+                      ue_grid=np.array([[10.0, 5.0, 1.5]]),
                       buildings=buildings + [mirror] * (i % 2), max_paths=4)
         ue = np.array([rng.uniform(-10, 10), rng.uniform(4, 6), 1.5])
         n_keep = None if i % 3 else int(rng.integers(1, 4))
-        yield sc, Scene(0, vehicles), ue, n_keep
+        yield sc, vehicles, ue, n_keep
 
 
 def test_array_tracer_matches_loop_tracer_on_toy_scenes():
-    labels, empty = set(), 0
-    for sc, scene, ue, n_keep in _toy_links():
-        label = _assert_traces_equal(sc, scene, ue, n_keep)
-        if label is None:
-            empty += 1
-        labels.add(label)
-    assert labels == {LOS, DNLOS, SNLOS, None} and empty > 0
+    # each toy link is a one-point grid; its budget is one int per point
+    labels = []
+    for sc, vehicles, ue, n_keep in _toy_links():
+        labels += _assert_traces_equal(sc, vehicles, ue[None],
+                                       None if n_keep is None else [n_keep])
+    assert set(labels) == {LOS, DNLOS, SNLOS, None}
 
 
 @pytest.mark.parametrize("n_keep", [None, 3])
 def test_array_tracer_matches_loop_tracer_on_a_desk_scene(n_keep):
     sc = desk_scenario()
-    scene = make_scene(sc, 0, 30, 40)
-    labels = [_assert_traces_equal(sc, scene, ue, n_keep) for ue in sc.ue_grid]
+    labels = _assert_traces_equal(sc, make_scene(sc, 0, 30, 40), sc.ue_grid,
+                                  n_keep)
     assert {LOS, DNLOS, SNLOS} <= set(labels)
 
 
 # ----------------------------------------------------------------------
-# the grid form of the tracer against its one-point form
+# a grid trace against one-point traces
 # ----------------------------------------------------------------------
 
 def test_grid_tracer_matches_one_point_tracer_on_a_desk_scene():
     sc = desk_scenario(min_paths=1)
     seed, t = 0, 30
-    scene = make_scene(sc, seed, t, 40)
+    vehicles = make_scene(sc, seed, t, 40)
     # per-link path budgets, drawn as generate_dataset draws them
     n_keep = [int(np.random.default_rng([seed, t, l]).integers(
         sc.min_paths, sc.max_paths + 1)) for l in range(len(sc.ue_grid))]
     assert len(set(n_keep)) > 1
-    paths, counts, labels = trace_paths(sc, scene, sc.ue_grid, n_keep)
-    assert counts.shape == labels.shape == (len(sc.ue_grid),)
+    paths, counts, labels = trace_paths(sc, vehicles, sc.ue_grid, n_keep)
     assert counts.sum() == len(paths)
-    dropped = 0
     for ue, k, n, got in zip(sc.ue_grid, n_keep, counts,
                              zip(_split_links(paths, counts), labels)):
-        try:
-            want = trace_paths(sc, scene, ue, k)
-        except EmptyLink:
-            assert n == 0
-            dropped += 1
-            continue
-        assert n > 0
-        _assert_links_equal(got, want)
-    assert 0 < dropped < len(counts)
-
-
-def test_grid_tracer_gives_a_zero_count_where_one_point_raises_empty_link():
-    empty = 0
-    for sc, scene, ue, n_keep in _toy_links():
-        per_link = None if n_keep is None else [n_keep]
-        paths, (n,), (label,) = trace_paths(sc, scene, ue[None], per_link)
-        assert n == len(paths)
-        try:
-            want = trace_paths(sc, scene, ue, n_keep)
-        except EmptyLink:
-            assert n == 0
-            empty += 1
-            continue
-        assert n > 0
-        _assert_links_equal((paths, label), want)
-    assert empty > 0
+        one, (n_one,), (label,) = trace_paths(sc, vehicles, ue[None], [k])
+        assert n == n_one == len(one)
+        _assert_links_equal(got, (one, label))
+    assert 0 < (counts == 0).sum() < len(counts)
 
 
 def test_grid_tracer_shapes():
@@ -575,28 +563,28 @@ def test_grid_tracer_shapes():
              Box((9.0, -2.0, 0.0), (11.0, 2.0, 30.0))]
     sc = _tiny_scenario(buildings=shell)
     inside, outside = sc.ue_grid[0], np.array([-10.0, 0.0, 1.5])
-    with pytest.raises(EmptyLink):
-        trace_paths(sc, Scene(0, []), inside)
-    paths, counts, labels = trace_paths(sc, Scene(0, []),
-                                        np.stack([inside, outside]), [1, 2])
+    paths, counts, labels = trace_paths(sc, [], np.stack([inside, outside]),
+                                        [1, 2])
     assert counts[0] == 0 and counts.sum() == len(paths)
-    _assert_links_equal((paths, labels[1]),
-                        trace_paths(sc, Scene(0, []), outside, 2))
-    paths, counts, labels = trace_paths(sc, Scene(0, []), np.zeros((0, 3)))
+    _assert_grid_traces_equal((paths, counts[1:], labels[1:]),
+                              trace_paths(sc, [], outside[None], 2))
+    paths, counts, labels = trace_paths(sc, [], np.zeros((0, 3)))
     assert len(paths) == 0 and counts.shape == labels.shape == (0,)
     grid = np.stack([outside, outside])
-    for ue, n_keep in ((np.zeros((2, 2)), None), (np.zeros((2, 3, 1)), None),
+    # a single point [3] is not a grid
+    for ue, n_keep in ((outside, None), (np.zeros((2, 2)), None),
+                       (np.zeros((2, 3, 1)), None),
                        (grid, [3]), (grid, [3, 3, 3]), (grid, [[3, 3]]),
                        (grid, 0), (grid, [2, 1.5])):
         with pytest.raises(ValueError):
-            trace_paths(sc, Scene(0, []), ue, n_keep)
+            trace_paths(sc, [], ue, n_keep)
 
 
 # ----------------------------------------------------------------------
 # the split trace (buildings once, vehicles per scene) against one pass
 # ----------------------------------------------------------------------
 
-def _trace_paths_one_pass(scenario, scene, grid, n_keep):
+def _trace_paths_one_pass(scenario, vehicles, grid, n_keep):
     """The grid tracer before its buildings' part was split off: every box
     in one `_specular_points` call and one `segments_hit_boxes` call."""
     bs = np.asarray(scenario.bs_position, float)
@@ -605,8 +593,7 @@ def _trace_paths_one_pass(scenario, scene, grid, n_keep):
                              n_links)
     lam = scenario.wavelength
     n_bld = len(scenario.buildings)
-    lo, hi = S._boxes_to_arrays(list(scenario.buildings)
-                                + list(scene.vehicles))
+    lo, hi = S._boxes_to_arrays(list(scenario.buildings) + list(vehicles))
     q, q_link = S._specular_points(bs, grid, lo, hi)
     r = len(q)
     hits = segments_hit_boxes(
@@ -721,17 +708,17 @@ def test_property_split_trace_matches_one_pass(street):
     box = lambda b: Box(*map(tuple, _corners(b)))
     sc = _tiny_scenario(bs_position=bs, buildings=[box(b) for b in buildings],
                         max_paths=3)
-    scene = Scene(0, [box(v) for v in vehicles])
+    vehicles = [box(v) for v in vehicles]
     grid = np.array(ues, float)
     # a UE at the BS has a zero-length direct path, to which both tracers
     # give an infinite gain and NaN angles, with a division warning
     at_bs = (grid == np.array(bs)).all(axis=1).any()
     with (np.errstate(divide="ignore", invalid="ignore") if at_bs
           else contextlib.nullcontext()):
-        got = trace_paths(sc, scene, grid, n_keep)
-        _assert_grid_traces_equal(got, _trace_paths_one_pass(sc, scene, grid,
-                                                             n_keep))
-        _assert_grid_traces_equal(trace_paths(sc, scene, grid, n_keep,
+        got = trace_paths(sc, vehicles, grid, n_keep)
+        _assert_grid_traces_equal(got, _trace_paths_one_pass(sc, vehicles,
+                                                             grid, n_keep))
+        _assert_grid_traces_equal(trace_paths(sc, vehicles, grid, n_keep,
                                               S._static_trace(sc, grid)), got)
 
 
@@ -819,19 +806,19 @@ def test_make_scene_is_deterministic_in_seed_and_id():
     sc = desk_scenario()
     a = make_scene(sc, 7, 3, 10)
     b = make_scene(sc, 7, 3, 10)
-    assert len(a.vehicles) == len(b.vehicles)
-    for va, vb in zip(a.vehicles, b.vehicles):
+    assert len(a) == len(b)
+    for va, vb in zip(a, b):
         assert va.lo == vb.lo and va.hi == vb.hi
     c = make_scene(sc, 8, 3, 10)
-    different = len(a.vehicles) != len(c.vehicles) or any(
-        va.lo != vc.lo for va, vc in zip(a.vehicles, c.vehicles))
+    different = len(a) != len(c) or any(
+        va.lo != vc.lo for va, vc in zip(a, c))
     assert different
 
 
 def test_traffic_drift_increases_density():
     sc = desk_scenario()
-    early = [len(make_scene(sc, s, 0, 40).vehicles) for s in range(8)]
-    late = [len(make_scene(sc, s, 39, 40).vehicles) for s in range(8)]
+    early = [len(make_scene(sc, s, 0, 40)) for s in range(8)]
+    late = [len(make_scene(sc, s, 39, 40)) for s in range(8)]
     assert np.mean(late) > np.mean(early)
 
 
@@ -865,13 +852,12 @@ def test_generate_dataset_with_a_fully_dropped_scene():
                 truck_fraction=0.0)
     sc = _tiny_scenario(ue_grid=[[1.0, 5.0, 1.0], [3.0, 5.0, 1.0]],
                         lanes=[lane], traffic_drift=-1.0)
-    assert make_scene(sc, 0, 0, 2).vehicles and not make_scene(
-        sc, 0, 1, 2).vehicles
+    assert make_scene(sc, 0, 0, 2) and not make_scene(sc, 0, 1, 2)
     ds = generate_dataset(sc, n_scenes=2, seed=0)
     assert ds.scene_ids.tolist() == ds.manifest["scene_of_sample"] == [1, 1]
     assert ds.grid_ids.tolist() == ds.manifest["grid_of_sample"] == [0, 1]
     assert ds.manifest["dropped"] == [[0, 0], [0, 1]]
-    paths, counts, _ = trace_paths(sc, Scene(1, []), sc.ue_grid)
+    paths, counts, _ = trace_paths(sc, [], sc.ue_grid)
     assert counts.sum() == len(paths)
     assert ds.cfr.tobytes() == synth_cfr(paths, sc, counts).tobytes()
 
@@ -937,15 +923,22 @@ def test_scenario_validation():
                 dict(n_subcarriers=8.5), dict(n_subcarriers=1),
                 dict(lanes=[Lane(0.0, 10.0, -10.0)]),
                 dict(lanes=[Lane(0.0, -np.inf, 10.0)]),
-                dict(traffic_drift=-1.5), dict(grid_spacing=0.0),
+                dict(traffic_drift=-1.5),
+                # numpy integers, which JSON cannot hold
+                dict(n_subcarriers=np.int64(8)), dict(min_paths=np.int32(1)),
                 dict(buildings=[Box((0.0, 0.0, 1.0), (1.0, 1.0, 0.5))])):
         with pytest.raises(ValueError):
             _tiny_scenario(**bad)
     for bad in (dict(m_y=2.5, m_z=2), dict(m_y=2, m_z=0),
                 dict(m_y=True, m_z=2), dict(m_y=2, m_z=2, spacing=0.0),
-                dict(m_y=2, m_z=2, spacing=np.nan)):
+                dict(m_y=2, m_z=2, spacing=np.nan),
+                dict(m_y=np.int64(2), m_z=2)):
         with pytest.raises(ValueError):
             ArrayGeometry(**bad)
+    # this once passed, and its dataset's manifest then held "max_paths":
+    # "12", which load_dataset refused
+    with pytest.raises(ValueError, match="max_paths"):
+        desk_scenario(max_paths=np.int64(12))
     _tiny_scenario(min_paths=4, max_paths=4)
     # the edges of the geometry and traffic ranges are allowed
     _tiny_scenario(buildings=[Box((0, 0, 0), (0, 1.0, 2.0))], traffic_drift=-1,
@@ -953,7 +946,7 @@ def test_scenario_validation():
                           Lane(2.0, -1.0, 1.0, truck_fraction=1.0)])
     _tiny_scenario(bs_position=(np.float64(1.0), 0, 5.0), noise_snr_db=10,
                    lanes=[Lane(0.0, -10.0, 10.0, density=0.0)],
-                   reflection_coeff=0.0, n_subcarriers=np.int64(8))
+                   reflection_coeff=0.0, n_subcarriers=8)
 
 
 def test_scenario_json_round_trip(tmp_path):
@@ -976,6 +969,8 @@ def test_scenario_from_dict_checks_its_keys():
     sc = Scenario.from_dict(old)
     assert (sc.min_paths, sc.reflection_coeff, sc.traffic_drift,
             sc.noise_snr_db) == (None, 0.6, 0.0, None)
+    # the grid_spacing older files carry, which nothing read, is dropped
+    assert Scenario.from_dict({**d, "grid_spacing": 0.4}).to_dict() == d
     lane, building = d["lanes"][0], d["buildings"][0]
     for bad in ({**d, "lane": []}, {**d, "array": {**d["array"], "m_x": 4}},
                 {**d, "lanes": [{**lane, "speed": 1.0}]},
@@ -989,3 +984,4 @@ def test_scenario_from_dict_checks_its_keys():
     for bad in ("desk", {**d, "array": [4, 4]}, {**d, "lanes": [1.0]}):
         with pytest.raises(TypeError):
             Scenario.from_dict(bad)
+

@@ -166,11 +166,16 @@ def test_config_validation():
                 dict(conv_channels=[]), dict(mlp_widths=[0]),
                 dict(mlp_widths=[16, True]), dict(conv_channels=[2.0]),
                 dict(mlp_widths=16), dict(conv_channels=None),
-                dict(mlp_widths=None)):
+                dict(mlp_widths=None),
+                # numpy integers, which a run's JSON manifest cannot hold:
+                # this checkpoint's manifest once held "conv_channels":
+                # ["2", 4], and eval of it failed with a TypeError
+                dict(conv_channels=[np.int64(2), 4]),
+                dict(batch_size=np.int64(8)), dict(seed=np.int64(3))):
         with pytest.raises(ValueError):
             TrainConfig(**bad)
-    TrainConfig(conv_channels=[np.int64(2), 4], mlp_widths=(16,))
-    TrainConfig(momentum=0.0, batch_size=np.int64(8), seed=np.int64(3))
+    TrainConfig(conv_channels=[2, 4], mlp_widths=(16,))
+    TrainConfig(momentum=0.0, batch_size=8, seed=3, lr=np.float64(1e-3))
     TrainConfig(method="hda", lambda3_max=0.0, lambda4=0.0, gamma=0.0)
 
 
