@@ -40,13 +40,18 @@ def write_file(path, data):
         raise
 
 
+def _json_text(obj):
+    # a value JSON cannot hold (a numpy integer, say) raises here, so a
+    # caller that serializes first has written no file when it does
+    return json.dumps(obj, indent=1, sort_keys=True) + "\n"
+
+
 def write_json(path, obj):
-    # a value JSON cannot hold (a numpy integer, say) raises here, before
-    # the file is written
-    write_file(path, json.dumps(obj, indent=1, sort_keys=True) + "\n")
+    write_file(path, _json_text(obj))
 
 
 def save_dataset(ds, out_dir):
+    text = _json_text(ds.manifest)
     os.makedirs(out_dir, exist_ok=True)
     write_file(os.path.join(out_dir, "cfr.bin"),
                np.ascontiguousarray(ds.cfr, "<c8"))
@@ -54,7 +59,7 @@ def save_dataset(ds, out_dir):
                ds.coords.astype("<f4").tobytes())
     write_file(os.path.join(out_dir, "labels.bin"),
                ds.labels.astype(np.uint8).tobytes())
-    write_json(os.path.join(out_dir, "manifest.json"), ds.manifest)
+    write_file(os.path.join(out_dir, "manifest.json"), text)
 
 
 class InputError(Exception):
@@ -154,17 +159,18 @@ def load_dataset(in_dir):
 
 def save_checkpoint(out_dir, param_data, manifest):
     """param_data: dict name -> float64 ndarray (trainable + running stats)."""
-    os.makedirs(out_dir, exist_ok=True)
     names = sorted(param_data)
-    blob = np.concatenate([np.asarray(param_data[n], np.float64).reshape(-1)
-                           for n in names])
-    write_file(os.path.join(out_dir, "params.bin"),
-               blob.astype("<f8").tobytes())
     manifest = dict(manifest)
     manifest["param_order"] = names
     manifest["param_shapes"] = {n: list(np.asarray(param_data[n]).shape)
                                 for n in names}
-    write_json(os.path.join(out_dir, "manifest.json"), manifest)
+    text = _json_text(manifest)
+    os.makedirs(out_dir, exist_ok=True)
+    blob = np.concatenate([np.asarray(param_data[n], np.float64).reshape(-1)
+                           for n in names])
+    write_file(os.path.join(out_dir, "params.bin"),
+               blob.astype("<f8").tobytes())
+    write_file(os.path.join(out_dir, "manifest.json"), text)
 
 
 def load_checkpoint(in_dir):

@@ -16,12 +16,18 @@ Backward therefore runs once per forward; a second backward through a
 freed graph raises.  Inside ``no_grad()`` no graph is built at all, so
 no closure keeps a forward buffer alive.
 
-The conv2d gradients are im2col matmuls plus a col2im scatter, and
-batch_norm is one primitive with the closed-form backward of Ioffe &
-Szegedy (2015) rather than a composite of the elementwise ones.  The
-max-pool backward routes each window's gradient by the two bool arrays
-of choices its forward's passes made, kept only when a graph is
-recorded, without reading the input again.
+conv2d moves whole channel rows: with its input read as ``[C, B*H*W]``,
+each kernel tap's im2col row is one shifted copy of it, and the entries
+that a shift wraps across a row or image edge are zeroed after the
+copies.  Its gradients are matmuls against those columns plus a col2im
+of the same shifts: kh*kw row adds into one unpadded zero buffer, the
+wrapped taps zeroed first, which gives each input entry the sums of a
+zero-padded col2im in the same order.  batch_norm is one primitive
+with the closed-form backward of Ioffe & Szegedy (2015) rather than a
+composite of the elementwise ones.  The max-pool backward routes each
+window's gradient by the two bool arrays of choices its forward's
+passes made, kept only when a graph is recorded, without reading the
+input again.
 
 When no backward will read the conv's im2col columns (eval, or no
 operand that needs a gradient), the forward builds and multiplies them
@@ -481,58 +487,71 @@ def conv2d(x, w):
         raise ShapeMismatch("same padding requires odd kernels")
     ph, pw = (kh - 1) // 2, (kw - 1) // 2
     B, C, H, W = x.shape
-    F, K = w.shape[0], C * kh * kw
+    F, K, N = w.shape[0], C * kh * kw, B * H * W
 
-    # K-major im2col (Chellapilla et al., 2006): cols[c, i, j] is the input
-    # shifted by (i - ph, j - pw) and zero outside it, so the forward is
-    # [F, K] @ [K, B*H*W]; each shift copies only its valid window
-    windows = []
-    for i in range(kh):
-        for j in range(kw):
-            h, v = H - abs(i - ph), W - abs(j - pw)
-            if h <= 0 or v <= 0:  # the kernel reaches past the whole input
-                continue
-            y, z = max(ph - i, 0), max(pw - j, 0)
-            sy, sz = max(i - ph, 0), max(j - pw, 0)
-            windows.append((i, j, slice(y, y + h), slice(z, z + v),
-                            slice(sy, sy + h), slice(sz, sz + v)))
+    # K-major im2col (Chellapilla et al., 2006) on flat channel rows: with
+    # the input read as [C, B*H*W], tap (i, j) of output position t reads
+    # it at t + (i - ph)*W + (j - pw), so each tap's cols row is one
+    # shifted copy, and the forward is [F, K] @ [K, B*H*W]
+    taps = [(i, j, (i - ph) * W + j - pw)
+            for i in range(kh) for j in range(kw)]
+
+    def _zero_wrapped(a):
+        # a: [C, kh, kw, n, H, W].  A shift wraps across a row or image edge
+        # (or runs off the row) where the tap is outside the input: rows
+        # y < ph - i or y >= H + ph - i, columns x < pw - j or x >= W + pw - j
+        for i in range(ph):
+            a[:, i, :, :, :ph - i] = 0.0
+        for i in range(ph + 1, kh):
+            a[:, i, :, :, max(H + ph - i, 0):] = 0.0
+        for j in range(pw):
+            a[:, :, j, :, :, :pw - j] = 0.0
+        for j in range(pw + 1, kw):
+            a[:, :, j, :, :, max(W + pw - j, 0):] = 0.0
+
     # cols is built and multiplied one block of samples at a time (Goto &
     # van de Geijn, 2008): a cache-sized block when no backward reads it,
-    # else the whole batch, kept for the gradients.  A block's padding
-    # zeros sit at the same places in every block, so one zero fill serves
-    # all of them, and each output column is the same dgemm column as in
-    # one whole-batch matmul
+    # else the whole batch, kept for the gradients.  Each output column is
+    # the same dgemm column as in one whole-batch matmul
     keep = _GRAD_ENABLED[0] and (x.requires_grad or w.requires_grad)
     nb = B if keep else max(1, min(B, _BLOCK_BYTES // (K * H * W * 8)))
-    xt = x.data.transpose(1, 0, 2, 3)
+    # a free view of channel-major memory (what conv2d returns), a copy of
+    # any other layout
+    xf = x.data.transpose(1, 0, 2, 3).reshape(C, N)
     wk = w.data.reshape(F, K)
-    cols = np.zeros((C, kh, kw, nb, H, W))
-    out = np.empty((F, B * H * W))
+    cols = np.empty((C, kh, kw, nb * H * W))
+    out = np.empty((F, N))
     for b0 in range(0, B, nb):
-        b1 = min(b0 + nb, B)
-        blk = cols[:, :, :, :b1 - b0]  # a prefix for the ragged last block
-        for i, j, oy, oz, sy, sz in windows:
-            blk[:, i, j, :, oy, oz] = xt[:, b0:b1, sy, sz]
-        np.matmul(wk, blk.reshape(K, -1), out=out[:, b0 * H * W:b1 * H * W])
+        t0, t1 = b0 * H * W, min(b0 + nb, B) * H * W
+        blk = cols[:, :, :, :t1 - t0]  # a prefix for the ragged last block
+        for i, j, d in taps:
+            lo, hi = max(t0, -d), min(t1, N - d)  # the reads inside the row
+            if lo < hi:
+                blk[:, i, j, lo - t0:hi - t0] = xf[:, lo + d:hi + d]
+        _zero_wrapped(blk.reshape(C, kh, kw, -1, H, W))
+        np.matmul(wk, blk.reshape(K, -1), out=out[:, t0:t1])
     # the [F, B*H*W] result is the channel-major output, returned as its
     # [B, F, H, W] view without a copy
     out_data = out.reshape(F, B, H, W).transpose(1, 0, 2, 3)
 
     def _bw(g):
-        # both gradients are matmuls against the forward's K-major layout:
-        # the weight gradient reads `cols`, the input gradient is scattered
-        # back by col2im (kh*kw shifted adds into a zero-padded buffer); a
+        # the weight gradient reads `cols`; col2im zeroes the wrapped taps
+        # of gcols and adds each tap's row back at its shift, so every input
+        # entry gets a zero-padded col2im's adds in (i, j) order, plus adds
+        # of +0.0, which leave a sum started at +0.0 as it is.  A
         # channel-major g reads as [F, B*H*W] without a copy
         gt = g.transpose(1, 0, 2, 3).reshape(F, -1)
         w._accumulate((gt @ cols.reshape(K, -1).T).reshape(w.shape))
         if not x.requires_grad:  # raw input data: nobody reads its gradient
             return
-        gcols = (wk.T @ gt).reshape(C, kh, kw, B, H, W)
-        gxp = np.zeros((C, B, H + 2 * ph, W + 2 * pw))
-        for i in range(kh):
-            for j in range(kw):
-                gxp[:, :, i:i + H, j:j + W] += gcols[:, i, j]
-        x._accumulate(gxp[:, :, ph:ph + H, pw:pw + W].transpose(1, 0, 2, 3))
+        gcols = (wk.T @ gt).reshape(C, kh, kw, N)
+        _zero_wrapped(gcols.reshape(C, kh, kw, B, H, W))
+        gx = np.zeros((C, N))
+        for i, j, d in taps:
+            lo, hi = max(0, -d), min(N, N - d)
+            if lo < hi:
+                gx[:, lo + d:hi + d] += gcols[:, i, j, lo:hi]
+        x._accumulate(gx.reshape(C, B, H, W).transpose(1, 0, 2, 3))
 
     return Tensor(out_data, _parents=(x, w), _backward=_bw)
 

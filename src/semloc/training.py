@@ -86,8 +86,8 @@ class TrainConfig:
                                  f"not {v!r}")
         if not (_is_finite_number(self.lr) and self.lr > 0):
             raise ValueError(f"lr must be finite and positive, not {self.lr!r}")
-        if not 0 <= self.momentum < 1:
-            raise ValueError(f"momentum must lie in [0, 1), not "
+        if not (_is_finite_number(self.momentum) and 0 <= self.momentum < 1):
+            raise ValueError(f"momentum must be a number in [0, 1), not "
                              f"{self.momentum!r}")
         if self.fingerprint not in feat.FINGERPRINT_KINDS:
             raise ValueError(f"unknown fingerprint {self.fingerprint!r}")

@@ -1,5 +1,6 @@
 """Tests for the binary file formats, directory locking, and the CLI."""
 
+import dataclasses
 import json
 import os
 import struct
@@ -685,7 +686,8 @@ def test_cli_bad_config_exits_2(dataset, tmp_path, capsys, monkeypatch):
     for text in ('{"epochz": 1}', '{"fingerprint": "nope"}', '[1, 2]',
                  '{"epochs": 0}', '{bad', '{"lambda1": -1}', '{"gamma": -1}',
                  '{"lambda3_max": -1}', '{"lambda4": NaN}', '{"lr": NaN}',
-                 '{"lr": 0}', '{"momentum": 1}', '{"batch_size": 8.5}',
+                 '{"lr": 0}', '{"momentum": 1}', '{"momentum": false}',
+                 '{"batch_size": 8.5}',
                  '{"epochs": true}', '{"seed": -1}', '{"conv_channels": [-1]}',
                  '{"conv_channels": "ab"}', '{"conv_channels": []}',
                  '{"mlp_widths": [0]}', '{"conv_channels": null}',
@@ -839,6 +841,20 @@ def test_json_refuses_values_it_cannot_hold(tmp_path):
     # np.float64 is a float
     dataio.write_json(path, {"lr": np.float64(0.5)})
     assert json.loads(path.read_text()) == {"lr": 0.5}
+
+
+def test_unserializable_manifest_writes_no_file(dataset, tmp_path):
+    # the manifest is serialized before the first write: a checkpoint once
+    # kept a params.bin without its manifest.json
+    bad = dataclasses.replace(
+        dataset, manifest={**dataset.manifest, "n_scenes": np.int64(4)})
+    writes = {"dataset": lambda d: dataio.save_dataset(bad, d),
+              "checkpoint": lambda d: dataio.save_checkpoint(
+                  d, {"w": np.ones(3)}, {"best_epoch": np.int64(1)})}
+    for name, write in writes.items():
+        with pytest.raises(TypeError):
+            write(tmp_path / name)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cli_gen_is_deterministic(tmp_path):

@@ -25,7 +25,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from semloc import engine as E
 from semloc.engine import SGD, NonFinite, ShapeMismatch, Tensor, grad_check
@@ -903,6 +903,30 @@ def test_property_conv2d_streamed_blocks_match_whole_batch(
     # blocks of `block` samples, so small shapes stream through several
     with mock.patch.object(E, "_BLOCK_BYTES", block * c * kh * kw * h * w * 8):
         got = _conv_run(E.conv2d, x, k, g)
+    assert got == _conv_run(conv2d_whole_batch, x, k, g)
+
+
+@PROPERTY
+@given(b=st.integers(1, 3), c=st.integers(1, 3), f=st.integers(1, 3),
+       h=st.integers(1, 5), w=st.integers(1, 5),
+       kh=st.sampled_from([1, 3, 5, 7]), kw=st.sampled_from([1, 3, 5, 7]),
+       seed=SEEDS)
+@example(b=2, c=2, f=2, h=1, w=1, kh=7, kw=7, seed=[0, 1, 2, 3])
+@example(b=3, c=1, f=2, h=1, w=5, kh=3, kw=7, seed=[4, 5, 6, 7])
+@example(b=2, c=2, f=1, h=5, w=1, kh=5, kw=3, seed=[8, 9, 10, 11])
+def test_property_conv2d_matches_whole_batch_on_rounding_values(
+        b, c, f, h, w, kh, kw, seed):
+    # normal values, so products and sums round and a change in the order
+    # of the col2im adds would move bytes; x and the upstream gradient also
+    # hold exact zeros and -0.0, whose sign a sum that did not start at
+    # +0.0 would keep
+    rng = np.random.default_rng(seed)
+    x, k, g = (rng.normal(size=s)
+               for s in ((b, c, h, w), (f, c, kh, kw), (b, f, h, w)))
+    for a in (x, g):
+        a[rng.random(a.shape) < 0.2] = 0.0
+        a[rng.random(a.shape) < 0.2] = -0.0
+    got = _conv_run(E.conv2d, x, k, g)
     assert got == _conv_run(conv2d_whole_batch, x, k, g)
 
 

@@ -157,6 +157,8 @@ def test_config_validation():
     # optimizer settings and integer fields
     for bad in (dict(lr=float("nan")), dict(lr=0.0), dict(lr=-1e-3),
                 dict(momentum=1.0), dict(momentum=-0.1),
+                dict(momentum=False), dict(momentum="0.5"),
+                dict(momentum=None),
                 dict(batch_size=8.5), dict(epochs=True), dict(seed=1.0),
                 dict(seed=-1)):
         with pytest.raises(ValueError):
